@@ -5,8 +5,9 @@ weights.
 
 import numpy as np
 
-from crispdec.decoder import DecoderConfig, DecoderParams, FeaturePyramid, \
-    dmf_fuse, project_and_upsample
+from crispdec.decoder import DecoderParams, FeaturePyramid, dmf_fuse, \
+    project_and_upsample
+from crispdec.model import ModelConfig
 from crispdec.tensor import Tensor
 
 rng = np.random.default_rng(1)
@@ -21,7 +22,7 @@ def pyramid(n=1):
     )
 
 
-params = DecoderParams(DecoderConfig(), rng)
+params = DecoderParams(ModelConfig(), rng)
 e_list = project_and_upsample(pyramid(), params)
 
 # score convs start at zero, so every scale gets exactly 1/4
@@ -45,7 +46,7 @@ print("subtractive shift changed weights by:",
 
 # the per-scale reliability variant multiplies scores instead, so an
 # uncertainty map can genuinely re-rank the scales
-rp = DecoderParams(DecoderConfig(per_scale_reliability=True), np.random.default_rng(1))
+rp = DecoderParams(ModelConfig(per_scale_reliability=True), np.random.default_rng(1))
 for i in range(1, 5):
     rp[f"score{i}.w"].data[:] = 0.3 * rng.standard_normal(rp[f"score{i}.w"].shape)
 rp["reliability"].data[:] = [2.0, 1.0, 0.5, 0.25]

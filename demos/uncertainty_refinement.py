@@ -4,8 +4,8 @@ uncertainty turns into per-pixel loss weights.
 
 import numpy as np
 
-from crispdec.decoder import DecoderConfig, DecoderParams, FeaturePyramid, \
-    decoder_forward
+from crispdec.decoder import DecoderParams, FeaturePyramid, decoder_forward
+from crispdec.model import ModelConfig
 from crispdec.losses import mix_uncertainty
 from crispdec.tensor import Tensor, bilinear_upsample
 
@@ -16,7 +16,7 @@ pyr = FeaturePyramid(
     Tensor(rng.standard_normal((1, 24, 4, 4))),
     Tensor(rng.standard_normal((1, 32, 2, 2))),
 )
-params = DecoderParams(DecoderConfig(), rng)
+params = DecoderParams(ModelConfig(use_udmf=False), rng)  # one fusion pass
 out = decoder_forward(pyr, params)
 
 print("predicted variance range:", float(out.sigma2.data.min()),

@@ -4,7 +4,6 @@ self-contained numpy autodiff core.
 """
 
 from .decoder import (
-    DecoderConfig,
     DecoderOutputs,
     DecoderParams,
     FeaturePyramid,
@@ -33,7 +32,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AdamW",
     "CorruptionSpec",
-    "DecoderConfig",
     "DecoderOutputs",
     "DecoderParams",
     "FeaturePyramid",

@@ -2,9 +2,8 @@
 corrupted seeds and score mIoU / Boundary-F1 / ECE on held-out scenes.
 
 Configuration levels mirror the cumulative component waterfall:
-A0 static-fusion baseline, A1 +dynamic fusion, A2 +variance head,
-A3 +refiner, A4 +boundary head, A5 +uncertainty-modulated fusion,
-A6 +EMA relabeling; U0 strips every uncertainty mechanism — the variance
+A0 static-fusion baseline, A1 +dynamic fusion, A4 +variance head, refiner
+and boundary head, A5 +uncertainty-modulated fusion, A6 +EMA relabeling; U0 strips every uncertainty mechanism — the variance
 head, refinement, modulated fusion, *and* uncertainty-gated relabeling —
 keeping only dynamic fusion and the boundary head (calibration foil).
 """
@@ -41,10 +40,6 @@ LEVELS: dict[str, dict] = {
     "A0": dict(use_dmf=False, use_var=False, use_ugr=False, use_bnd=False,
                use_udmf=False, use_ema=False),
     "A1": dict(use_dmf=True, use_var=False, use_ugr=False, use_bnd=False,
-               use_udmf=False, use_ema=False),
-    "A2": dict(use_dmf=True, use_var=True, use_ugr=False, use_bnd=False,
-               use_udmf=False, use_ema=False),
-    "A3": dict(use_dmf=True, use_var=True, use_ugr=True, use_bnd=False,
                use_udmf=False, use_ema=False),
     "A4": dict(use_dmf=True, use_var=True, use_ugr=True, use_bnd=True,
                use_udmf=False, use_ema=False),

@@ -26,21 +26,6 @@ class DataError(Exception):
     pass
 
 
-def _worker_cap() -> int:
-    """CRISPDEC_THREADS caps worker threads; all current kernels are
-    single-threaded, so the cap only needs to validate."""
-    raw = os.environ.get("CRISPDEC_THREADS")
-    if raw is None:
-        return 1
-    try:
-        cap = int(raw)
-    except ValueError as exc:
-        raise UsageError(f"CRISPDEC_THREADS must be an integer, got {raw!r}") from exc
-    if cap < 1:
-        raise UsageError("CRISPDEC_THREADS must be >= 1")
-    return cap
-
-
 def _dataset_hash(data_dir) -> str:
     manifest = os.path.join(data_dir, "manifest.txt")
     if not os.path.exists(manifest):
@@ -80,27 +65,24 @@ def cmd_train(args) -> int:
     from .model import ModelConfig, SegModel
     from .synthdata import load_dataset
 
-    if args.no_ugr and not args.no_udmf:
-        raise UsageError("--no-ugr removes the variance head; "
-                         "uncertainty-modulated fusion needs it (add --no-udmf)")
-    if args.no_dmf and not args.no_udmf:
-        raise UsageError("--no-dmf removes the score path; add --no-udmf")
-
     cfg = TrainConfig(seed=args.seed, epochs=args.epochs,
                       batch_size=args.batch_size, lr_decoder=args.lr)
     if args.config:
         cfg = parse_config(args.config, base=cfg)  # config file wins over flags
 
-    model_cfg = ModelConfig(
-        seed=args.seed,
-        dtype=args.dtype,
-        use_dmf=not args.no_dmf,
-        use_var=not args.no_ugr,
-        use_ugr=not args.no_ugr,
-        use_bnd=not args.no_bnd,
-        use_udmf=not args.no_udmf,
-        use_ema=not args.no_ema,
-    )
+    try:
+        model_cfg = ModelConfig(
+            seed=args.seed,
+            dtype=args.dtype,
+            use_dmf=not args.no_dmf,
+            use_var=not args.no_ugr,
+            use_ugr=not args.no_ugr,
+            use_bnd=not args.no_bnd,
+            use_udmf=not args.no_udmf,
+            use_ema=not args.no_ema,
+        )
+    except ValueError as exc:  # e.g. --no-ugr or --no-dmf without --no-udmf
+        raise UsageError(exc) from exc
     data = load_dataset(args.data)
     if not data:
         raise DataError(f"{args.data}: empty dataset")
@@ -267,7 +249,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        _worker_cap()
         return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -9,15 +9,20 @@ which both feeds the losses and gates a residual logit correction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .tensor import Tensor, bilinear_upsample, cat, conv2d, softmax
 
+if TYPE_CHECKING:
+    from .model import ModelConfig
+
 GATE_BIAS_INIT = -2.1972  # sigmoid(-2.1972) ~= 0.1: start with gentle corrections
 VAR_EPS = 1e-6            # floor added to softplus'd variances
 NORM_EPS = 1e-5
+ENCODER_CHANNELS = (8, 16, 24, 32)  # C1..C4 of the toy encoder
 
 
 @dataclass
@@ -46,31 +51,6 @@ class FeaturePyramid:
 
 
 @dataclass
-class DecoderConfig:
-    width: int = 32                      # common projection width
-    num_classes: int = 4
-    in_channels: tuple = (8, 16, 24, 32)
-    alpha_mod: float = 1.0               # strength of uncertainty score shift
-    norm_enabled: bool = True
-    boundary_tap: str = "e1"             # "e1" (projected C1) or "f" (fused)
-    fusion: str = "dmf"                  # "dmf" or "static" concat+1x1 baseline
-    per_scale_reliability: bool = False  # multiplicative modulation variant, off by default
-    enable_variance: bool = True
-    enable_refine: bool = True
-    enable_boundary: bool = True
-
-    def __post_init__(self):
-        if self.alpha_mod < 0:
-            raise ValueError("alpha_mod must be >= 0")
-        if self.boundary_tap not in ("e1", "f"):
-            raise ValueError("boundary_tap must be 'e1' or 'f'")
-        if self.fusion not in ("dmf", "static"):
-            raise ValueError("fusion must be 'dmf' or 'static'")
-        if self.enable_refine and not self.enable_variance:
-            raise ValueError("refinement requires the variance head")
-
-
-@dataclass
 class DecoderOutputs:
     z: Tensor                  # pre-refine logits [N,K,H/4,W/4]
     zstar: Tensor              # refined logits (== z when refinement is off)
@@ -84,9 +64,11 @@ class DecoderOutputs:
 
 
 class DecoderParams:
-    """Named parameter tensors for the decoder head."""
+    """Named parameter tensors for the decoder head that `cfg` switches on,
+    for pyramid levels with `in_channels` channels."""
 
-    def __init__(self, cfg: DecoderConfig, rng: np.random.Generator, dtype=np.float64):
+    def __init__(self, cfg: ModelConfig, rng: np.random.Generator, dtype=np.float64,
+                 in_channels: tuple = ENCODER_CHANNELS):
         self.cfg = cfg
         self.tensors: dict[str, Tensor] = {}
         e, k = cfg.width, cfg.num_classes
@@ -103,24 +85,24 @@ class DecoderParams:
             self.tensors[name] = t
             return t
 
-        for i, cin in enumerate(cfg.in_channels, start=1):
+        for i, cin in enumerate(in_channels, start=1):
             param(f"proj{i}.w", (e, cin, 1, 1))
             param(f"proj{i}.b", (e,), init="zero")
             param(f"norm{i}.gamma", (1, e, 1, 1), init="one")
             param(f"norm{i}.beta", (1, e, 1, 1), init="zero")
             param(f"score{i}.w", (1, e, 1, 1), init="zero")
             param(f"score{i}.b", (1,), init="zero")
-        if cfg.fusion == "static":
+        if not cfg.use_dmf:
             param("fuse.w", (e, 4 * e, 1, 1))
             param("fuse.b", (e,), init="zero")
         param("seg.w", (k, e, 1, 1))
         param("seg.b", (k,), init="zero")
-        if cfg.enable_variance:
+        if cfg.use_var:
             # uniform initial variance: any later structure is learned, and
             # training never starts inside an init-dependent down-weighting
             param("var.w", (k, e, 1, 1), init="zero")
             param("var.b", (k,), init="zero")
-        if cfg.enable_refine:
+        if cfg.use_ugr:
             param("phi1.w", (e, e + k + 1, 3, 3))
             param("phi1.b", (e,), init="zero")
             param("phi2.w", (k, e, 1, 1), init="zero")  # corrections start at 0
@@ -128,7 +110,7 @@ class DecoderParams:
             param("gate.w", (1, e + 1, 1, 1), init="zero")
             gate_b = param("gate.b", (1,), init="zero")
             gate_b.data[:] = GATE_BIAS_INIT
-        if cfg.enable_boundary:
+        if cfg.use_bnd:
             param("bnd1.w", (e, e, 3, 3))
             param("bnd1.b", (e,), init="zero")
             param("bnd2.w", (1, e, 1, 1))
@@ -154,14 +136,11 @@ def channel_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
 
 def project_and_upsample(pyramid: FeaturePyramid, params: DecoderParams) -> list[Tensor]:
     """Project each pyramid level to the common width and lift to 1/4 res."""
-    cfg = params.cfg
     _, _, h4, w4 = pyramid.c1.shape
     out = []
     for i, c in enumerate(pyramid.maps(), start=1):
         x = conv2d(c, params[f"proj{i}.w"], params[f"proj{i}.b"].reshape(1, -1, 1, 1))
-        if cfg.norm_enabled:
-            x = channel_norm(x, params[f"norm{i}.gamma"], params[f"norm{i}.beta"])
-        x = x.relu()
+        x = channel_norm(x, params[f"norm{i}.gamma"], params[f"norm{i}.beta"]).relu()
         if x.shape[2:] != (h4, w4):
             x = bilinear_upsample(x, h4, w4)
         out.append(x)
@@ -232,26 +211,20 @@ def boundary_branch(tap: Tensor, params: DecoderParams) -> Tensor:
 
 
 def decoder_forward(pyramid: FeaturePyramid, params: DecoderParams,
-                    mode: str = "plain", detach_p: bool = False) -> DecoderOutputs:
+                    detach_p: bool = False) -> DecoderOutputs:
     """Run the full head.
 
-    mode "plain": one fuse pass. mode "uncertainty_modulated": a first
-    fuse+variance pass produces the uncertainty map, a second fuse applies
-    the score shift with it, and all heads run on the re-fused feature.
+    Without use_udmf: one fuse pass. With it: a first fuse+variance pass
+    produces the uncertainty map, a second fuse applies the score shift
+    with it, and all heads run on the re-fused feature.
     """
     cfg = params.cfg
-    if mode not in ("plain", "uncertainty_modulated"):
-        raise ValueError(f"unknown mode {mode!r}")
     e_list = project_and_upsample(pyramid, params)
 
     weights = None
-    if cfg.fusion == "static":
-        if mode == "uncertainty_modulated":
-            raise ValueError("static fusion has no score path to modulate")
+    if not cfg.use_dmf:
         fused = static_fuse(e_list, params)
-    elif mode == "uncertainty_modulated":
-        if not cfg.enable_variance:
-            raise ValueError("uncertainty_modulated mode requires the variance head")
+    elif cfg.use_udmf:
         fused0, _ = dmf_fuse(e_list, params)
         _, u0 = variance_branch(fused0, params)
         fused, weights = dmf_fuse(e_list, params, u_down=u0)
@@ -261,17 +234,17 @@ def decoder_forward(pyramid: FeaturePyramid, params: DecoderParams,
     z = conv2d(fused, params["seg.w"], params["seg.b"].reshape(1, -1, 1, 1))
 
     sigma2 = u_ale = None
-    if cfg.enable_variance:
+    if cfg.use_var:
         sigma2, u_ale = variance_branch(fused, params)
 
     zstar, gate, delta = z, None, None
-    if cfg.enable_refine:
+    if cfg.use_ugr:
         zstar, gate, delta = ugr_refine(fused, z, u_ale, params, detach_p=detach_p)
 
     edge_logits = None
-    if cfg.enable_boundary:
-        tap = e_list[0] if cfg.boundary_tap == "e1" else fused
-        edge_logits = boundary_branch(tap, params)
+    if cfg.use_bnd:
+        # the boundary head taps the projected C1 stream, not the fused map
+        edge_logits = boundary_branch(e_list[0], params)
 
     return DecoderOutputs(z=z, zstar=zstar, weights=weights, fused=fused,
                           sigma2=sigma2, u_ale=u_ale, gate=gate, delta=delta,

@@ -1,4 +1,5 @@
-"""On-disk formats: CTSR tensor files, P5 PGM masks, parameter checkpoints.
+"""On-disk formats: CTSR tensor files, P5 PGM masks, parameter checkpoints,
+and typed key=value config files.
 
 CTSR layout: magic "CTSR", u32 version=1, u32 rank, u64 extents[rank],
 then the payload as little-endian IEEE-754 f32 in row-major order.
@@ -6,9 +7,12 @@ then the payload as little-endian IEEE-754 f32 in row-major order.
 
 from __future__ import annotations
 
+import dataclasses
+import math
 import os
 import re
 import struct
+import typing
 
 import numpy as np
 
@@ -112,4 +116,61 @@ def load_checkpoint(directory) -> dict:
             if arr.shape != expect:
                 raise FormatError(f"{name}: manifest shape {expect} != file shape {arr.shape}")
             out[name] = arr
+    return out
+
+
+# -- key=value config files ------------------------------------------------------
+#
+# UTF-8 text, one "key=value" per line; blank lines and "#" comments are
+# skipped. Training configs (`--config`) and checkpoints' model_config.txt
+# use this format.
+
+_BOOL_WORDS = {"true": True, "1": True, "yes": True,
+               "false": False, "0": False, "no": False}
+
+
+def _parse_value(text: str, kind):
+    if kind is bool:
+        if text.lower() not in _BOOL_WORDS:
+            raise ValueError("expected true/false/1/0/yes/no")
+        return _BOOL_WORDS[text.lower()]
+    if kind is float:
+        value = float(text)
+        if not math.isfinite(value):
+            raise ValueError("expected a finite number")
+        return value
+    return kind(text)  # int or str
+
+
+def read_fields(path, cls) -> dict:
+    """Values for fields of the dataclass `cls` from a key=value file,
+    each converted by its field's type (bool, int, float or str). An
+    unknown or repeated key, a line without "=", or a value that does not
+    convert raises FormatError naming the file and line. Keys the file
+    leaves out are absent from the result."""
+    hints = typing.get_type_hints(cls)
+    kinds = {f.name: hints[f.name] for f in dataclasses.fields(cls)}
+    with open(path, encoding="utf-8") as fh:
+        try:
+            lines = fh.readlines()
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    out = {}
+    for lineno, line in enumerate(lines, start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        where = f"{path}:{lineno}"
+        key, sep, text = line.partition("=")
+        key, text = key.strip(), text.strip()
+        if not sep:
+            raise FormatError(f"{where}: expected key=value")
+        if key not in kinds:
+            raise FormatError(f"{where}: unknown key {key!r}")
+        if key in out:
+            raise FormatError(f"{where}: repeated key {key!r}")
+        try:
+            out[key] = _parse_value(text, kinds[key])
+        except ValueError as exc:
+            raise FormatError(f"{where}: {key}={text!r}: {exc}") from None
     return out

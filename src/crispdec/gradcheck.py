@@ -12,6 +12,7 @@ import numpy as np
 
 from . import decoder as dec
 from . import losses
+from .model import ModelConfig
 from .synthdata import init_encoder_params, toy_encoder_forward
 from .tensor import Tensor, bilinear_upsample, cat, conv2d, finite_diff_grad, softmax
 
@@ -180,8 +181,8 @@ def _loss_checks(rng) -> list[CheckResult]:
 
 
 def _decoder_checks(rng) -> list[CheckResult]:
-    cfg = dec.DecoderConfig(width=4, num_classes=2, in_channels=(2, 2, 2, 2))
-    params = dec.DecoderParams(cfg, rng)
+    cfg = ModelConfig(width=4, num_classes=2)
+    params = dec.DecoderParams(cfg, rng, in_channels=(2, 2, 2, 2))
     # break initial symmetry so score/gate gradients are generic
     for name, t in params.tensors.items():
         t.data += 0.05 * rng.standard_normal(t.shape)
@@ -194,7 +195,7 @@ def _decoder_checks(rng) -> list[CheckResult]:
     tracked = list(params.tensors.values())
 
     def full_loss(*_ts):
-        out = dec.decoder_forward(pyr, params, mode="uncertainty_modulated")
+        out = dec.decoder_forward(pyr, params)
         loss, _ = losses.total_loss(out, labels, lw)
         return loss
 
@@ -203,14 +204,13 @@ def _decoder_checks(rng) -> list[CheckResult]:
 
 def _encoder_checks(rng) -> list[CheckResult]:
     enc = init_encoder_params(rng)
-    cfg = dec.DecoderConfig(width=4, num_classes=2, in_channels=(8, 16, 24, 32))
-    params = dec.DecoderParams(cfg, rng)
+    params = dec.DecoderParams(ModelConfig(width=4, num_classes=2, use_udmf=False), rng)
     image = Tensor(rng.standard_normal((1, 3, 32, 32)) * 0.5, requires_grad=False)
     tracked = list(enc.values())
 
     def f(*_ts):
         pyr = toy_encoder_forward(image, enc)
-        out = dec.decoder_forward(pyr, params, mode="plain")
+        out = dec.decoder_forward(pyr, params)
         return (out.zstar * out.zstar).sum()
 
     # spot-check a coordinate sample per encoder tensor; exhaustive FD over

@@ -9,11 +9,11 @@ from __future__ import annotations
 import csv
 import math
 import os
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .fileio import IGNORE
+from .fileio import IGNORE, read_fields
 from .losses import LossWeights, PseudoLabelSet, mix_uncertainty, total_loss
 from .model import SegModel
 from .synthdata import build_ignore_mask
@@ -24,9 +24,12 @@ LOG_COLUMNS = ["step", "l_total", "l_ce", "l_dice", "l_het", "l_bnd", "l_sdf",
 
 
 class TrainingDiverged(RuntimeError):
+    """A non-finite loss or pre-clip gradient norm; raised before the
+    optimizer step, so the parameters keep their last finite values."""
+
     def __init__(self, step: int, breakdown: dict):
         terms = ", ".join(f"{k}={v:.6g}" for k, v in breakdown.items())
-        super().__init__(f"non-finite loss at step {step}: {terms}")
+        super().__init__(f"training diverged at step {step}: {terms}")
         self.breakdown = breakdown
 
 
@@ -59,34 +62,10 @@ class TrainConfig:
             raise ValueError("keep_fraction must lie in (0,1)")
 
 
-_BOOL_FIELDS = {"flip_augment", "use_sdf"}
-_INT_FIELDS = {"epochs", "batch_size", "q_anneal_epochs", "relabel_period",
-               "detach_p_epochs", "warmup_epochs", "seed"}
-
-
 def parse_config(path, base: TrainConfig | None = None) -> TrainConfig:
-    """UTF-8 key=value lines; unknown keys are rejected."""
-    cfg = base or TrainConfig()
-    known = {f.name for f in fields(TrainConfig)}
-    overrides = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected key=value")
-            key, _, value = line.partition("=")
-            key, value = key.strip(), value.strip()
-            if key not in known:
-                raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-            if key in _BOOL_FIELDS:
-                overrides[key] = value.lower() in ("1", "true", "yes")
-            elif key in _INT_FIELDS:
-                overrides[key] = int(value)
-            else:
-                overrides[key] = float(value)
-    return replace(cfg, **overrides)
+    """`base` (default TrainConfig()) with the values of a key=value file
+    (`fileio.read_fields`); unknown keys and bad values are rejected."""
+    return replace(base or TrainConfig(), **read_fields(path, TrainConfig))
 
 
 def anneal_q(epoch: int, cfg: TrainConfig) -> float:
@@ -256,7 +235,9 @@ def _lr_factor(step: int, warmup_steps: int, total_steps: int) -> float:
     return 0.5 * (1.0 + math.cos(math.pi * prog))
 
 
-def _clip_grads(params: dict[str, Tensor], max_norm: float):
+def _clip_grads(params: dict[str, Tensor], max_norm: float) -> float:
+    """Scale the gradients down to a global L2 norm of at most `max_norm`
+    (0: no clipping); returns the norm before clipping."""
     total = 0.0
     for p in params.values():
         if p.grad is not None:
@@ -267,6 +248,7 @@ def _clip_grads(params: dict[str, Tensor], max_norm: float):
         for p in params.values():
             if p.grad is not None:
                 p.grad *= scale
+    return norm
 
 
 def loss_weights_for(model_cfg) -> LossWeights:
@@ -345,8 +327,9 @@ def train(cfg: TrainConfig, data: list, model: SegModel,
                     raise TrainingDiverged(step, breakdown)
                 model.zero_grad()
                 loss.backward()
-                if cfg.grad_clip > 0:
-                    _clip_grads(params, cfg.grad_clip)
+                grad_norm = _clip_grads(params, cfg.grad_clip)
+                if not math.isfinite(grad_norm):
+                    raise TrainingDiverged(step, {**breakdown, "grad_norm": grad_norm})
                 opt.step(_lr_factor(step, warmup_steps, total_steps))
                 if teacher is not None:
                     ema_update(teacher, params, cfg.ema_tau)

@@ -3,32 +3,40 @@ single-pass inference on the refined logits."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .decoder import DecoderConfig, DecoderParams, decoder_forward
-from .fileio import load_checkpoint, save_checkpoint
-from .synthdata import ENCODER_CHANNELS, init_encoder_params, toy_encoder_forward
+from .decoder import DecoderParams, decoder_forward
+from .fileio import load_checkpoint, read_fields, save_checkpoint
+from .synthdata import init_encoder_params, toy_encoder_forward
 from .tensor import Tensor, bilinear_upsample, softmax
 
 
 @dataclass
 class ModelConfig:
+    """Every switch of the model, named once; the decoder reads it as is."""
+
     num_classes: int = 4
-    width: int = 32
-    use_dmf: bool = True
-    use_var: bool = True
-    use_ugr: bool = True
-    use_bnd: bool = True
-    use_udmf: bool = True
-    use_ema: bool = True
-    boundary_tap: str = "e1"
-    alpha_mod: float = 1.0
+    width: int = 32                      # common projection width of the decoder
+    use_dmf: bool = True                 # dynamic fusion; off: static concat+1x1
+    use_var: bool = True                 # variance head
+    use_ugr: bool = True                 # variance-gated refinement
+    use_bnd: bool = True                 # boundary head
+    use_udmf: bool = True                # uncertainty-modulated second fusion pass
+    use_ema: bool = True                 # EMA teacher and relabeling
+    alpha_mod: float = 1.0               # strength of the uncertainty score shift
+    per_scale_reliability: bool = False  # multiplicative modulation variant
     seed: int = 0
     dtype: str = "float64"
 
     def __post_init__(self):
+        if self.num_classes < 2 or self.width < 1:
+            raise ValueError("need num_classes >= 2 and width >= 1")
+        if self.alpha_mod < 0:
+            raise ValueError("alpha_mod must be >= 0")
+        if self.dtype not in ("float32", "float64"):
+            raise ValueError(f"dtype must be float32 or float64, got {self.dtype!r}")
         if self.use_udmf and not (self.use_dmf and self.use_var):
             raise ValueError("uncertainty-modulated fusion needs DMF and the variance head")
         if self.use_ugr and not self.use_var:
@@ -46,19 +54,7 @@ class SegModel:
         dtype = np.dtype(cfg.dtype).type
         rng = np.random.default_rng(cfg.seed)
         self.encoder = init_encoder_params(rng, dtype=dtype)
-        dec_cfg = DecoderConfig(
-            width=cfg.width,
-            num_classes=cfg.num_classes,
-            in_channels=ENCODER_CHANNELS,
-            alpha_mod=cfg.alpha_mod,
-            boundary_tap=cfg.boundary_tap,
-            fusion="dmf" if cfg.use_dmf else "static",
-            enable_variance=cfg.use_var,
-            enable_refine=cfg.use_ugr,
-            enable_boundary=cfg.use_bnd,
-        )
-        self.decoder = DecoderParams(dec_cfg, rng, dtype=dtype)
-        self.mode = "uncertainty_modulated" if cfg.use_udmf else "plain"
+        self.decoder = DecoderParams(cfg, rng, dtype=dtype)
 
     @property
     def params(self) -> dict[str, Tensor]:
@@ -71,8 +67,7 @@ class SegModel:
         if x.data.ndim == 3:
             x = Tensor(x.data[None])
         pyramid = toy_encoder_forward(x, self.encoder)
-        return decoder_forward(pyramid, self.decoder, mode=self.mode,
-                               detach_p=detach_p)
+        return decoder_forward(pyramid, self.decoder, detach_p=detach_p)
 
     def params_dtype(self):
         return next(iter(self.encoder.values())).data.dtype
@@ -127,20 +122,19 @@ class SegModel:
 
     @classmethod
     def from_checkpoint(cls, directory) -> "SegModel":
+        """The model `save` wrote to `directory`. Its model_config.txt must
+        name every ModelConfig field; anything else raises ValueError."""
         import os
 
-        kwargs = {}
-        with open(os.path.join(directory, "model_config.txt")) as fh:
-            for line in fh:
-                key, _, val = line.strip().partition("=")
-                if key in ("num_classes", "width", "seed"):
-                    kwargs[key] = int(val)
-                elif key == "alpha_mod":
-                    kwargs[key] = float(val)
-                elif key in ("boundary_tap", "dtype"):
-                    kwargs[key] = val
-                else:
-                    kwargs[key] = val == "True"
-        model = cls(ModelConfig(**kwargs))
+        path = os.path.join(directory, "model_config.txt")
+        kwargs = read_fields(path, ModelConfig)
+        missing = [f.name for f in fields(ModelConfig) if f.name not in kwargs]
+        if missing:
+            raise ValueError(f"{path}: missing {', '.join(missing)}")
+        try:
+            cfg = ModelConfig(**kwargs)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+        model = cls(cfg)
         model.load(directory)
         return model

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import ndimage
 
-from .decoder import FeaturePyramid
+from .decoder import ENCODER_CHANNELS, FeaturePyramid
 from .fileio import IGNORE, write_ctsr, write_pgm
 from .geometry import boundary_seeds, distance_to_set
 from .losses import PseudoLabelSet
@@ -218,9 +218,6 @@ def corrupt_to_seed(gt: np.ndarray, cspec: CorruptionSpec,
 
 
 # -- toy encoder ---------------------------------------------------------------------
-
-ENCODER_CHANNELS = (8, 16, 24, 32)
-
 
 def init_encoder_params(rng: np.random.Generator, dtype=np.float64) -> dict:
     """Five stride-2 3x3 convs: two to reach stride 4 (C1), then one per

@@ -15,8 +15,8 @@ import time
 import numpy as np
 import pytest
 
-from crispdec.decoder import DecoderConfig, DecoderParams, FeaturePyramid, \
-    decoder_forward, dmf_fuse, project_and_upsample
+from crispdec.decoder import DecoderParams, FeaturePyramid, decoder_forward, \
+    dmf_fuse, project_and_upsample
 from crispdec.fileio import IGNORE
 from crispdec.gradcheck import REL_TOL, run_all
 from crispdec.loop import TeacherState, TrainConfig, ema_update, relabel, train
@@ -47,12 +47,11 @@ def test_criterion_1_gradcheck_all_primitives_and_composites():
 
 def test_criterion_2_fusion_invariants_1000_micro_inputs():
     rng = np.random.default_rng(2026)
-    params = DecoderParams(DecoderConfig(in_channels=(4, 6, 8, 10), width=8),
-                           rng)
+    params = DecoderParams(ModelConfig(width=8), rng, in_channels=(4, 6, 8, 10))
     for t in params.tensors.values():
         t.data += 0.3 * rng.standard_normal(t.shape)
-    zero_params = DecoderParams(DecoderConfig(in_channels=(4, 6, 8, 10), width=8),
-                                np.random.default_rng(1))
+    zero_params = DecoderParams(ModelConfig(width=8), np.random.default_rng(1),
+                                in_channels=(4, 6, 8, 10))
     for trial in range(1000):
         pyr = FeaturePyramid(
             Tensor(rng.standard_normal((1, 4, 8, 8))),
@@ -80,7 +79,7 @@ def test_criterion_2_fusion_invariants_1000_micro_inputs():
 
 def test_criterion_3_refinement_gate_and_detach_contract():
     rng = np.random.default_rng(3)
-    params = DecoderParams(DecoderConfig(), rng)
+    params = DecoderParams(ModelConfig(use_udmf=False), rng)  # one fusion pass
     for t in params.tensors.values():
         t.data += 0.1 * rng.standard_normal(t.shape)
     pyr = FeaturePyramid(

@@ -1,4 +1,5 @@
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -36,15 +37,6 @@ def test_gen_refuses_nonempty_without_force(tmp_path, capsys):
     assert run_gen(tmp_path / "d") == EXIT_DATA
     assert "--force" in capsys.readouterr().err
     assert run_gen(tmp_path / "d", extra=("--force",)) == EXIT_OK
-
-
-def test_thread_cap_validation(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("CRISPDEC_THREADS", "zero")
-    assert run_gen(tmp_path / "d") == EXIT_USAGE
-    monkeypatch.setenv("CRISPDEC_THREADS", "0")
-    assert run_gen(tmp_path / "d") == EXIT_USAGE
-    monkeypatch.setenv("CRISPDEC_THREADS", "2")
-    assert run_gen(tmp_path / "d") == EXIT_OK
 
 
 @pytest.fixture(scope="module")
@@ -135,6 +127,48 @@ def test_eval_missing_checkpoint(tmp_path, trained):
     code = main(["eval", "--checkpoint", str(tmp_path / "nope"),
                  "--data", str(data), "--out", str(tmp_path / "s.csv")])
     assert code == EXIT_DATA
+
+
+def copy_checkpoint(run, dest, edit):
+    """A copy of the run's checkpoint with `edit` applied to the text of
+    its model_config.txt."""
+    shutil.copytree(run / "checkpoint", dest)
+    cfg = dest / "model_config.txt"
+    cfg.write_text(edit(cfg.read_text()))
+    return dest
+
+
+@pytest.mark.parametrize("edit", [
+    lambda t: t + "momentum=0.9\n",                      # unknown key
+    lambda t: t + "boundary_tap=e1\n",                   # knob that is gone
+    lambda t: t.replace("use_bnd=True", "use_bnd=on"),   # not a bool word
+    lambda t: t.replace("width=32", "width"),            # no "="
+    lambda t: t.replace("num_classes=4", "num_classes=4.0"),
+    lambda t: t.replace("dtype=float32", "dtype=float16"),
+    lambda t: t.replace("seed=0\n", ""),                 # missing key
+    lambda t: t + "seed=1\n",                            # repeated key
+], ids=["unknown", "boundary_tap", "bool", "no-equals", "int", "dtype",
+        "missing", "repeated"])
+def test_eval_rejects_bad_model_config(tmp_path, trained, capsys, edit):
+    data, run = trained
+    ckpt = copy_checkpoint(run, tmp_path / "ckpt", edit)
+    code = main(["eval", "--checkpoint", str(ckpt), "--data", str(data),
+                 "--out", str(tmp_path / "s.csv")])
+    assert code == EXIT_DATA
+    assert "model_config.txt" in capsys.readouterr().err
+
+
+def test_eval_reads_bools_in_any_spelling(tmp_path, trained):
+    data, run = trained
+    ckpt = copy_checkpoint(run, tmp_path / "ckpt",
+                           lambda t: t.replace("=True", "=true").replace("=False", "=no"))
+    assert "use_bnd=true" in (ckpt / "model_config.txt").read_text()
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    assert main(["eval", "--checkpoint", str(run / "checkpoint"),
+                 "--data", str(data), "--out", str(a)]) == EXIT_OK
+    assert main(["eval", "--checkpoint", str(ckpt),
+                 "--data", str(data), "--out", str(b)]) == EXIT_OK
+    assert a.read_bytes() == b.read_bytes()
 
 
 def test_metrics_scores_mask_dirs(tmp_path):

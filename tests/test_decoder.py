@@ -4,7 +4,6 @@ import pytest
 from crispdec.decoder import (
     GATE_BIAS_INIT,
     VAR_EPS,
-    DecoderConfig,
     DecoderParams,
     FeaturePyramid,
     channel_norm,
@@ -13,6 +12,7 @@ from crispdec.decoder import (
     project_and_upsample,
     static_fuse,
 )
+from crispdec.model import ModelConfig
 from crispdec.tensor import Tensor
 
 
@@ -23,7 +23,8 @@ def make_pyramid(rng, n=1, channels=(8, 16, 24, 32), h4=8, w4=8):
 
 
 def make_params(rng, **cfg_kwargs):
-    cfg = DecoderConfig(**cfg_kwargs)
+    """Decoder parameters; one fusion pass unless use_udmf=True is passed."""
+    cfg = ModelConfig(**{"use_udmf": False, **cfg_kwargs})
     return DecoderParams(cfg, rng)
 
 
@@ -38,12 +39,12 @@ def test_pyramid_rejects_wrong_stride_chain():
 
 def test_config_refine_requires_variance():
     with pytest.raises(ValueError):
-        DecoderConfig(enable_variance=False, enable_refine=True)
+        ModelConfig(use_var=False, use_ugr=True, use_udmf=False)
 
 
 def test_config_rejects_negative_alpha():
     with pytest.raises(ValueError):
-        DecoderConfig(alpha_mod=-0.5)
+        ModelConfig(alpha_mod=-0.5)
 
 
 def test_param_manifest_and_inits():
@@ -135,7 +136,7 @@ def test_alpha_zero_modulation_is_bit_neutral():
 
 def test_static_fuse_shape():
     rng = np.random.default_rng(9)
-    p = make_params(rng, fusion="static")
+    p = make_params(rng, use_dmf=False)
     e_list = project_and_upsample(make_pyramid(rng), p)
     fused = static_fuse(e_list, p)
     assert fused.shape == (1, 32, 8, 8)
@@ -204,8 +205,7 @@ def test_forward_output_shapes():
 
 def test_ablated_forward_outputs_none():
     rng = np.random.default_rng(15)
-    p = make_params(rng, enable_variance=False, enable_refine=False,
-                    enable_boundary=False)
+    p = make_params(rng, use_var=False, use_ugr=False, use_bnd=False)
     out = decoder_forward(make_pyramid(rng), p)
     assert out.sigma2 is None and out.u_ale is None
     assert out.gate is None and out.delta is None and out.edge_logits is None
@@ -213,28 +213,13 @@ def test_ablated_forward_outputs_none():
 
 
 def test_static_fusion_rejects_modulated_mode():
-    rng = np.random.default_rng(16)
-    p = make_params(rng, fusion="static")
     with pytest.raises(ValueError):
-        decoder_forward(make_pyramid(rng), p, mode="uncertainty_modulated")
+        ModelConfig(use_dmf=False, use_udmf=True)
 
 
 def test_modulated_mode_requires_variance_head():
-    rng = np.random.default_rng(17)
-    p = make_params(rng, enable_variance=False, enable_refine=False)
     with pytest.raises(ValueError):
-        decoder_forward(make_pyramid(rng), p, mode="uncertainty_modulated")
-
-
-def test_boundary_tap_f_uses_fused_feature():
-    rng = np.random.default_rng(18)
-    p_e1 = make_params(rng, boundary_tap="e1")
-    rng2 = np.random.default_rng(18)
-    p_f = make_params(rng2, boundary_tap="f")
-    pyr = make_pyramid(np.random.default_rng(19))
-    out_e1 = decoder_forward(pyr, p_e1)
-    out_f = decoder_forward(pyr, p_f)
-    assert np.abs(out_e1.edge_logits.data - out_f.edge_logits.data).max() > 1e-9
+        ModelConfig(use_var=False, use_ugr=False, use_udmf=True)
 
 
 def test_channel_norm_zero_mean_unit_var():

@@ -1,0 +1,21 @@
+"""The short demos run to completion against the current API."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+DEMOS = ("fusion_weights", "uncertainty_refinement", "autodiff_basics",
+         "boundary_losses", "metrics_tour")
+
+
+@pytest.mark.parametrize("name", DEMOS)
+def test_demo_exits_zero(name):
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, str(ROOT / "demos" / f"{name}.py")],
+                          env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr

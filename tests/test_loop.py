@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from crispdec import loop
 from crispdec.fileio import IGNORE
 from crispdec.loop import (
     LOG_COLUMNS,
@@ -20,6 +21,7 @@ from crispdec.loop import (
     teacher_predict,
     train,
 )
+from crispdec.losses import total_loss
 from crispdec.model import ModelConfig, SegModel
 from crispdec.synthdata import CorruptionSpec, SceneSpec, make_dataset
 from crispdec.tensor import Tensor
@@ -76,6 +78,23 @@ def test_parse_config_rejects_malformed_line(tmp_path):
     p = tmp_path / "c.txt"
     p.write_text("epochs\n")
     with pytest.raises(ValueError, match="key=value"):
+        parse_config(p)
+
+
+@pytest.mark.parametrize("text", ["use_sdf=TRUE", "use_sdf=yes", "use_sdf=1"])
+def test_parse_config_reads_bool_words_in_any_case(tmp_path, text):
+    p = tmp_path / "c.txt"
+    p.write_text(text + "\n")
+    assert parse_config(p, base=TrainConfig(use_sdf=False)).use_sdf is True
+
+
+@pytest.mark.parametrize("text", ["use_sdf=on", "use_sdf=2", "epochs=2.5",
+                                  "lr_decoder=nan", "lr_decoder=inf",
+                                  "epochs=2\nepochs=3"])
+def test_parse_config_rejects_bad_values(tmp_path, text):
+    p = tmp_path / "c.txt"
+    p.write_text(text + "\n")
+    with pytest.raises(ValueError, match="c.txt:"):
         parse_config(p)
 
 
@@ -340,6 +359,28 @@ def test_train_aborts_on_nonfinite_loss():
     model.params["dec.seg.w"].data[:] = np.inf
     with pytest.raises(TrainingDiverged):
         train(TrainConfig(epochs=1, seed=0), tiny_data(2), model)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_train_aborts_on_nonfinite_gradient_norm(monkeypatch, tmp_path):
+    """A finite loss with a NaN gradient stops training before the
+    optimizer writes NaN into the parameters or the checkpoint."""
+    model = tiny_model()
+    seg_w = model.params["dec.seg.w"]
+    before = model.state_dict()
+
+    def nan_gradient_loss(outputs, labels, weights):
+        loss, breakdown = total_loss(outputs, labels, weights)
+        # adds 0 to the loss; its gradient is 0 * d sqrt(x)/dx at x = 0: NaN
+        return loss + (seg_w * 0.0).sum().sqrt() * 0.0, breakdown
+
+    monkeypatch.setattr(loop, "total_loss", nan_gradient_loss)
+    with pytest.raises(TrainingDiverged, match="grad_norm=nan"):
+        train(TrainConfig(epochs=1, batch_size=2, seed=0), tiny_data(2), model,
+              checkpoint_dir=tmp_path / "ckpt")
+    for k, v in model.state_dict().items():
+        np.testing.assert_array_equal(v, before[k])
+    assert not (tmp_path / "ckpt").exists()
 
 
 def test_train_relabel_replaces_label_sets():
