@@ -22,7 +22,7 @@ from .fileio import (
 from .geometry import boundary_band, boundary_seeds, distance_to_set, signed_distance
 from .loop import AdamW, TeacherState, TrainConfig, TrainingDiverged, ema_update, relabel, train
 from .losses import LossWeights, PseudoLabelSet, mix_uncertainty, total_loss
-from .metrics import MetricReport, boundary_f1, ece, evaluate, miou, structural_scores
+from .metrics import boundary_f1, ece, evaluate, miou, score, structural_scores
 from .model import ModelConfig, SegModel
 from .synthdata import CorruptionSpec, Sample, SceneSpec, generate_scene, make_dataset
 from .tensor import Tensor, bilinear_upsample, cat, conv2d, finite_diff_grad, softmax
@@ -38,7 +38,6 @@ __all__ = [
     "FormatError",
     "IGNORE",
     "LossWeights",
-    "MetricReport",
     "ModelConfig",
     "PseudoLabelSet",
     "Sample",
@@ -69,6 +68,7 @@ __all__ = [
     "read_pgm",
     "relabel",
     "save_checkpoint",
+    "score",
     "signed_distance",
     "softmax",
     "structural_scores",

@@ -18,10 +18,9 @@ import os
 
 import numpy as np
 
-from .fileio import IGNORE
 from .loop import TrainConfig, train
 from .losses import PseudoLabelSet
-from .metrics import boundary_f1, ece, miou
+from .metrics import mean_scores, score
 from .model import ModelConfig, SegModel
 from .synthdata import CorruptionSpec, Sample, SceneSpec, make_dataset
 
@@ -90,20 +89,13 @@ def _copy_samples(samples: list) -> list:
 
 def evaluate_model(model: SegModel, eval_data: list, k: int,
                    batch_size: int = 25) -> dict:
-    """Mean per-image mIoU, Boundary-F1, and ECE on ground truth."""
-    mious, bf1s, eces = [], [], []
+    """Mean per-image scores (`metrics.score`) on ground truth."""
+    scores = []
     for lo in range(0, len(eval_data), batch_size):
         batch = eval_data[lo:lo + batch_size]
-        images = np.stack([s.image for s in batch])
-        pred, conf = model.predict(images)
-        for i, s in enumerate(batch):
-            _, m = miou(pred[i], s.gt, k)
-            mious.append(m)
-            bf1s.append(boundary_f1(pred[i], s.gt))
-            keep = s.gt != IGNORE
-            eces.append(ece(conf[i][keep], (pred[i] == s.gt)[keep]))
-    return {"miou": float(np.mean(mious)), "boundary_f1": float(np.mean(bf1s)),
-            "ece": float(np.mean(eces))}
+        pred, conf = model.predict(np.stack([s.image for s in batch]))
+        scores += [score(pred[i], s.gt, k, conf[i]) for i, s in enumerate(batch)]
+    return mean_scores(scores)
 
 
 def run_level(level: str, seed: int, train_data: list, eval_data: list,

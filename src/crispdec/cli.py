@@ -61,7 +61,7 @@ def cmd_gen(args) -> int:
 
 def cmd_train(args) -> int:
     from . import __version__
-    from .loop import TrainConfig, parse_config, train
+    from .loop import TrainConfig, TrainingDiverged, parse_config, train
     from .model import ModelConfig, SegModel
     from .synthdata import load_dataset
 
@@ -72,7 +72,7 @@ def cmd_train(args) -> int:
 
     try:
         model_cfg = ModelConfig(
-            seed=args.seed,
+            seed=cfg.seed,
             dtype=args.dtype,
             use_dmf=not args.no_dmf,
             use_var=not args.no_ugr,
@@ -103,16 +103,18 @@ def cmd_train(args) -> int:
         fh.write(f"checkpoint={ckpt_dir}\nlog={log_path}\n")
 
     model = SegModel(model_cfg)
-    train(cfg, data, model, log_path=log_path, checkpoint_dir=ckpt_dir)
+    try:
+        train(cfg, data, model, log_path=log_path, checkpoint_dir=ckpt_dir)
+    except TrainingDiverged as exc:
+        print(exc, file=sys.stderr)
+        return EXIT_CHECK
     print(f"checkpoint written to {ckpt_dir}")
     return EXIT_OK
 
 
 def cmd_eval(args) -> int:
-    import csv
-
-    from .fileio import IGNORE, write_ctsr
-    from .metrics import boundary_f1, ece, miou, structural_scores
+    from .fileio import write_ctsr
+    from .metrics import score, write_csv
     from .model import SegModel
     from .synthdata import load_dataset
 
@@ -127,34 +129,15 @@ def cmd_eval(args) -> int:
         os.makedirs(args.dump_confidence, exist_ok=True)
 
     rows = []
-    agg = {key: [] for key in ("miou", "bf1", "ece", "tv", "comp", "edge")}
     for i, s in enumerate(data):
         pred, conf = model.predict(s.image)
-        pred, conf = pred[0], conf[0]
-        _, m = miou(pred, s.gt, k)
-        bf1 = boundary_f1(pred, s.gt)
-        keep = s.gt != IGNORE
-        e = ece(conf[keep], (pred == s.gt)[keep])
-        tv, comp, edge = structural_scores(pred, k)
         name = f"{i:05d}"
-        rows.append([name, f"{m:.6f}", f"{bf1:.6f}", f"{e:.6f}",
-                     f"{tv:.6f}", f"{comp:.6f}", f"{edge:.6f}"])
-        for key, val in zip(("miou", "bf1", "ece", "tv", "comp", "edge"),
-                            (m, bf1, e, tv, comp, edge)):
-            agg[key].append(val)
+        rows.append((name, score(pred[0], s.gt, k, conf[0])))
         if args.dump_confidence:
-            write_ctsr(os.path.join(args.dump_confidence, f"{name}.ctsr"), conf)
+            write_ctsr(os.path.join(args.dump_confidence, f"{name}.ctsr"), conf[0])
 
-    with open(args.out, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["image", "miou", "boundary_f1", "ece", "tv_smooth",
-                         "compactness", "edge_regularity"])
-        writer.writerows(rows)
-        writer.writerow(["aggregate"] +
-                        [f"{np.mean(agg[key]):.6f}"
-                         for key in ("miou", "bf1", "ece", "tv", "comp", "edge")])
-    print(f"wrote {args.out} ({len(rows)} images, "
-          f"mean miou {np.mean(agg['miou']):.4f})")
+    agg = write_csv(args.out, rows)
+    print(f"wrote {args.out} ({len(rows)} images, mean miou {agg['miou']:.4f})")
     return EXIT_OK
 
 
@@ -174,9 +157,9 @@ def cmd_gradcheck(args) -> int:
 def cmd_metrics(args) -> int:
     from .metrics import evaluate, write_csv
 
-    report, rows, errors = evaluate(args.pred, args.gt, args.classes,
-                                    band_px=args.band, conf_dir=args.conf)
-    write_csv(args.out, rows, aggregate=report if rows else None)
+    rows, errors = evaluate(args.pred, args.gt, args.classes,
+                            band_px=args.band, conf_dir=args.conf)
+    write_csv(args.out, rows)
     for name, msg in errors:
         print(f"error: {name}: {msg}", file=sys.stderr)
     if not rows and not errors:

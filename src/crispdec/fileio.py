@@ -37,18 +37,26 @@ def write_ctsr(path, array: np.ndarray) -> None:
 
 def read_ctsr(path) -> np.ndarray:
     with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != CTSR_MAGIC:
-            raise FormatError(f"{path}: bad magic {magic!r}")
-        version, rank = struct.unpack("<II", fh.read(8))
-        if version != CTSR_VERSION:
-            raise FormatError(f"{path}: unsupported version {version}")
-        shape = struct.unpack(f"<{rank}Q", fh.read(8 * rank))
-        count = int(np.prod(shape)) if rank else 1
-        payload = fh.read(4 * count)
-        if len(payload) != 4 * count:
-            raise FormatError(f"{path}: truncated payload")
-    return np.frombuffer(payload, dtype="<f4").reshape(shape).copy()
+        data = fh.read()
+    if data[:4] != CTSR_MAGIC:
+        raise FormatError(f"{path}: bad magic {data[:4]!r}")
+    if len(data) < 12:
+        raise FormatError(f"{path}: truncated header")
+    version, rank = struct.unpack_from("<II", data, 4)
+    if version != CTSR_VERSION:
+        raise FormatError(f"{path}: unsupported version {version}")
+    start = 12 + 8 * rank
+    if len(data) < start:
+        raise FormatError(f"{path}: truncated header")
+    shape = struct.unpack_from(f"<{rank}Q", data, 12)
+    count = math.prod(shape)
+    if len(data) - start < 4 * count:
+        raise FormatError(f"{path}: truncated payload")
+    try:
+        arr = np.frombuffer(data, dtype="<f4", count=count, offset=start).reshape(shape)
+    except ValueError as exc:  # e.g. zero-size with extents too large to index
+        raise FormatError(f"{path}: shape {shape}: {exc}") from None
+    return arr.copy()
 
 
 def write_pgm(path, labels: np.ndarray) -> None:
@@ -67,7 +75,8 @@ def write_pgm(path, labels: np.ndarray) -> None:
 def read_pgm(path) -> np.ndarray:
     with open(path, "rb") as fh:
         data = fh.read()
-    m = re.match(rb"P5\s+(?:#[^\n]*\n\s*)*(\d+)\s+(\d+)\s+(\d+)\s", data)
+    # at most 9 digits a number, so int() stays well inside its limits
+    m = re.match(rb"P5\s+(?:#[^\n]*\n\s*)*(\d{1,9})\s+(\d{1,9})\s+(\d{1,9})\s", data)
     if not m:
         raise FormatError(f"{path}: not a binary PGM")
     w, h, maxval = (int(x) for x in m.groups())
@@ -100,18 +109,30 @@ def save_checkpoint(directory, params: dict, roles: dict | None = None) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+_MANIFEST_LINE = re.compile(r"([A-Za-z0-9_.]+)\t((?:\d{1,9}(?:x\d{1,9})*)?)\t[^\t]*")
+
+
 def load_checkpoint(directory) -> dict:
+    """Parameter arrays by name; a manifest or CTSR file that does not
+    parse, or a manifest line naming no file, raises FormatError."""
     manifest = os.path.join(directory, "manifest.txt")
     if not os.path.exists(manifest):
         raise FormatError(f"{directory}: missing manifest.txt")
     out = {}
-    with open(manifest) as fh:
-        for line in fh:
+    # bytes that are not UTF-8 decode to U+FFFD, which no name or shape matches
+    with open(manifest, encoding="utf-8", errors="replace") as fh:
+        for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
-            name, shape_s, _role = line.split("\t")
-            arr = read_ctsr(os.path.join(directory, name + ".ctsr"))
+            m = _MANIFEST_LINE.fullmatch(line)
+            if not m:
+                raise FormatError(f"{manifest}:{lineno}: expected name<TAB>shape<TAB>role")
+            name, shape_s = m.groups()
+            path = os.path.join(directory, name + ".ctsr")
+            if not os.path.isfile(path):
+                raise FormatError(f"{manifest}:{lineno}: no file {name}.ctsr")
+            arr = read_ctsr(path)
             expect = tuple(int(s) for s in shape_s.split("x")) if shape_s else ()
             if arr.shape != expect:
                 raise FormatError(f"{name}: manifest shape {expect} != file shape {arr.shape}")

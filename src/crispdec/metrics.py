@@ -4,25 +4,14 @@ error, and structural scores (TV-smoothness, compactness, edge regularity).
 
 from __future__ import annotations
 
+import csv
 import os
-from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import ndimage
 
 from .fileio import IGNORE, read_ctsr, read_pgm
 from .geometry import boundary_seeds
-
-
-@dataclass
-class MetricReport:
-    miou: float
-    boundary_f1: float
-    ece: float | None
-    tv_smooth: float
-    compactness: float
-    edge_regularity: float
-    per_class_iou: np.ndarray = field(default=None)
 
 
 def confusion_matrix(pred: np.ndarray, gt: np.ndarray, k: int) -> np.ndarray:
@@ -219,80 +208,73 @@ def structural_scores(pred: np.ndarray, k: int) -> tuple[float, float, float]:
     return tv / total_area, comp / total_area, edge / total_area
 
 
-CSV_COLUMNS = ["image", "miou", "boundary_f1", "ece", "tv_smooth",
-               "compactness", "edge_regularity"]
+SCORE_NAMES = ("miou", "boundary_f1", "ece", "tv_smooth", "compactness",
+               "edge_regularity")
+
+
+def score(pred: np.ndarray, gt: np.ndarray, k: int, conf: np.ndarray | None = None,
+          band_px: int = 2, bins: int = 10) -> dict:
+    """One image's scores against ground truth, keyed by SCORE_NAMES.
+    ECE needs the max-softmax confidences `conf` and is None without them."""
+    _, mean_iou = miou(pred, gt, k)
+    bf1 = boundary_f1(pred, gt, band_px)
+    e = None
+    if conf is not None:
+        keep = gt != IGNORE
+        e = ece(conf[keep], (pred == gt)[keep], bins)
+    tv, comp, edge = structural_scores(pred, k)
+    return dict(zip(SCORE_NAMES, (mean_iou, bf1, e, tv, comp, edge)))
+
+
+def mean_scores(scores: list) -> dict:
+    """Per-name mean over images' `score` results; None where no image has
+    a value (ECE without confidences)."""
+    out = {}
+    for name in SCORE_NAMES:
+        vals = [s[name] for s in scores if s[name] is not None]
+        out[name] = float(np.mean(vals)) if vals else None
+    return out
+
+
+def write_csv(path, rows: list) -> dict | None:
+    """Write (image name, `score` result) rows and, when there are any, an
+    "aggregate" row of their means; every value to six decimals, "" for a
+    missing one. Returns the aggregate (None without rows)."""
+    def cells(scores):
+        return ["" if scores[n] is None else f"{scores[n]:.6f}" for n in SCORE_NAMES]
+
+    agg = mean_scores([s for _, s in rows]) if rows else None
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["image", *SCORE_NAMES])
+        for name, scores in rows:
+            writer.writerow([name, *cells(scores)])
+        if agg is not None:
+            writer.writerow(["aggregate", *cells(agg)])
+    return agg
 
 
 def evaluate(pred_dir, gt_dir, k: int, band_px: int = 2, bins: int = 10,
-             conf_dir=None) -> tuple[MetricReport, list, list]:
-    """Score every PGM pair under two directories.
+             conf_dir=None) -> tuple[list, list]:
+    """Score every PGM pair under two directories (ECE from the CTSR maps
+    in `conf_dir`, when given).
 
-    Returns (aggregate report, per-image CSV rows, error rows). Aggregates
-    are means of the per-image values. Pairs that fail to load or mismatch
-    in shape are recorded and skipped.
+    Returns (rows, errors): (name, `score` result) for each scored pair and
+    (name, message) for each pair that fails to load or mismatches in
+    shape, which is skipped.
     """
     names = sorted(f for f in os.listdir(gt_dir) if f.endswith(".pgm"))
     rows, errors = [], []
-    accum = {c: [] for c in CSV_COLUMNS[1:]}
-    iou_vectors = []
     for name in names:
         try:
             gt = read_pgm(os.path.join(gt_dir, name))
             pred = read_pgm(os.path.join(pred_dir, name))
             if pred.shape != gt.shape:
                 raise ValueError(f"shape mismatch {pred.shape} vs {gt.shape}")
-            iou_vec, mean_iou = miou(pred, gt, k)
-            bf1 = boundary_f1(pred, gt, band_px)
-            tv, comp, edge = structural_scores(pred, k)
-            e = ""
+            conf = None
             if conf_dir is not None:
                 conf = read_ctsr(os.path.join(conf_dir, name[:-4] + ".ctsr"))
-                keep = gt != IGNORE
-                e = ece(conf[keep], (pred == gt)[keep], bins)
-                accum["ece"].append(e)
-            iou_vectors.append(iou_vec)
-            for key, val in (("miou", mean_iou), ("boundary_f1", bf1),
-                             ("tv_smooth", tv), ("compactness", comp),
-                             ("edge_regularity", edge)):
-                accum[key].append(val)
-            rows.append([name, mean_iou, bf1, e, tv, comp, edge])
+            rows.append((name, score(pred, gt, k, conf, band_px, bins)))
         except Exception as exc:  # noqa: BLE001 - error rows keep the run going
-            errors.append([name, str(exc)])
-    if not accum["miou"]:
-        report = MetricReport(miou=float("nan"), boundary_f1=float("nan"),
-                              ece=None, tv_smooth=float("nan"),
-                              compactness=float("nan"),
-                              edge_regularity=float("nan"))
-        return report, rows, errors
-    mean_ece = float(np.mean(accum["ece"])) if accum["ece"] else None
-    per_class = None
-    if iou_vectors:
-        stacked = np.stack(iou_vectors)
-        seen = ~np.all(np.isnan(stacked), axis=0)
-        per_class = np.full(stacked.shape[1], np.nan)
-        per_class[seen] = np.nanmean(stacked[:, seen], axis=0)
-    report = MetricReport(
-        miou=float(np.mean(accum["miou"])),
-        boundary_f1=float(np.mean(accum["boundary_f1"])),
-        ece=mean_ece,
-        tv_smooth=float(np.mean(accum["tv_smooth"])),
-        compactness=float(np.mean(accum["compactness"])),
-        edge_regularity=float(np.mean(accum["edge_regularity"])),
-        per_class_iou=per_class,
-    )
-    return report, rows, errors
-
-
-def write_csv(path, rows, aggregate: MetricReport | None = None) -> None:
-    import csv
-
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CSV_COLUMNS)
-        for row in rows:
-            writer.writerow(row)
-        if aggregate is not None:
-            writer.writerow(["aggregate", aggregate.miou, aggregate.boundary_f1,
-                             aggregate.ece if aggregate.ece is not None else "",
-                             aggregate.tv_smooth, aggregate.compactness,
-                             aggregate.edge_regularity])
+            errors.append((name, str(exc)))
+    return rows, errors

@@ -82,6 +82,28 @@ def test_train_rejects_unknown_config_key(tmp_path, trained):
     assert code == EXIT_DATA
 
 
+def test_train_divergence_exits_with_check_failure(tmp_path, trained, capsys):
+    data, _ = trained
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("lr_decoder=1e300\n")
+    code = main(["train", "--data", str(data), "--out", str(tmp_path / "r"),
+                 "--epochs", "2", "--batch-size", "2", "--config", str(cfg)])
+    assert code == EXIT_CHECK
+    assert capsys.readouterr().err.startswith("training diverged at step ")
+
+
+def test_train_config_seed_seeds_the_model(tmp_path, trained):
+    data, _ = trained
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("seed=5\n")
+    run = tmp_path / "r"
+    assert main(["train", "--data", str(data), "--out", str(run), "--epochs", "1",
+                 "--batch-size", "4", "--config", str(cfg)]) == EXIT_OK
+    manifest = (run / "run_manifest.txt").read_text().splitlines()
+    assert "train.seed=5" in manifest and "model.seed=5" in manifest
+    assert "seed=5" in (run / "checkpoint" / "model_config.txt").read_text().splitlines()
+
+
 def test_train_empty_dataset(tmp_path):
     os.makedirs(tmp_path / "empty")
     (tmp_path / "empty" / "manifest.txt").write_text("# count=0 hash=x\n")
@@ -127,6 +149,19 @@ def test_eval_missing_checkpoint(tmp_path, trained):
     code = main(["eval", "--checkpoint", str(tmp_path / "nope"),
                  "--data", str(data), "--out", str(tmp_path / "s.csv")])
     assert code == EXIT_DATA
+
+
+@pytest.mark.parametrize("size", [0, 6, 11, 20, 40])
+def test_eval_rejects_truncated_parameter_file(tmp_path, trained, capsys, size):
+    data, run = trained
+    ckpt = tmp_path / "ckpt"
+    shutil.copytree(run / "checkpoint", ckpt)
+    param = ckpt / "dec.bnd1.w.ctsr"
+    param.write_bytes(param.read_bytes()[:size])
+    code = main(["eval", "--checkpoint", str(ckpt), "--data", str(data),
+                 "--out", str(tmp_path / "s.csv")])
+    assert code == EXIT_DATA
+    assert "dec.bnd1.w.ctsr" in capsys.readouterr().err
 
 
 def copy_checkpoint(run, dest, edit):
@@ -184,7 +219,7 @@ def test_metrics_scores_mask_dirs(tmp_path):
                  "--classes", "2", "--out", str(out)])
     assert code == EXIT_OK
     lines = out.read_text().splitlines()
-    assert lines[1].split(",")[1] == "1.0"  # perfect miou on identical masks
+    assert lines[1].split(",")[1] == "1.000000"  # perfect miou on identical masks
 
 
 def test_metrics_reports_error_rows(tmp_path, capsys):

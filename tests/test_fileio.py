@@ -2,6 +2,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crispdec.fileio import (
     IGNORE,
@@ -135,3 +137,125 @@ def test_checkpoint_shape_mismatch_rejected(tmp_path):
     write_ctsr(d / "x.ctsr", np.zeros(4, dtype=np.float32))
     with pytest.raises(FormatError):
         load_checkpoint(d)
+
+
+# -- truncated and garbage input: FormatError and nothing else ------------------------
+
+PROPERTY = settings(max_examples=60, deadline=None)
+shapes = st.lists(st.integers(0, 5), max_size=4).map(tuple)
+CTSR_PREFIXES = [b"", b"CTSR", b"CTSR" + struct.pack("<I", 1)] + [
+    b"CTSR" + struct.pack("<II", 1, rank) for rank in (0, 1, 2, 3, 2**31)]
+
+
+@pytest.fixture(scope="module")
+def scratch(tmp_path_factory):
+    return tmp_path_factory.mktemp("formats")
+
+
+def ctsr_bytes(scratch, shape):
+    p = scratch / "full.ctsr"
+    write_ctsr(p, np.arange(int(np.prod(shape)), dtype=np.float32).reshape(shape))
+    return p.read_bytes()
+
+
+def read_or_format_error(reader, path):
+    """The reader's result, or None when it raised FormatError; any other
+    exception propagates and fails the test."""
+    try:
+        return reader(path)
+    except FormatError:
+        return None
+
+
+@PROPERTY
+@given(shape=shapes, data=st.data())
+def test_truncated_ctsr_raises_format_error(scratch, shape, data):
+    full = ctsr_bytes(scratch, shape)
+    p = scratch / "cut.ctsr"
+    p.write_bytes(full[:data.draw(st.integers(0, len(full) - 1))])
+    with pytest.raises(FormatError):
+        read_ctsr(p)
+
+
+@PROPERTY
+@given(prefix=st.sampled_from(CTSR_PREFIXES), tail=st.binary(max_size=120))
+def test_garbage_ctsr_raises_only_format_error(scratch, prefix, tail):
+    p = scratch / "garbage.ctsr"
+    p.write_bytes(prefix + tail)
+    arr = read_or_format_error(read_ctsr, p)
+    assert arr is None or arr.dtype == np.float32
+
+
+@PROPERTY
+@given(h=st.integers(1, 6), w=st.integers(1, 6), data=st.data())
+def test_truncated_pgm_raises_format_error(scratch, h, w, data):
+    p = scratch / "cut.pgm"
+    write_pgm(p, np.ones((h, w), dtype=np.uint8))
+    full = p.read_bytes()
+    p.write_bytes(full[:data.draw(st.integers(0, len(full) - 1))])
+    with pytest.raises(FormatError):
+        read_pgm(p)
+
+
+@PROPERTY
+@given(prefix=st.sampled_from([b"", b"P5\n", b"P5\n3 2\n", b"P5\n3 2\n255\n",
+                                b"P5\n" + b"9" * 5000 + b" 1\n255\n"]),
+       tail=st.binary(max_size=60))
+def test_garbage_pgm_raises_only_format_error(scratch, prefix, tail):
+    p = scratch / "garbage.pgm"
+    p.write_bytes(prefix + tail)
+    arr = read_or_format_error(read_pgm, p)
+    assert arr is None or (arr.dtype == np.uint8 and arr.ndim == 2)
+
+
+@pytest.fixture(scope="module")
+def ckpt(scratch):
+    """A two-parameter checkpoint; its files' bytes are restored after
+    each example."""
+    d = scratch / "ckpt"
+    save_checkpoint(d, {"enc.w": np.ones((2, 3), dtype=np.float32),
+                        "dec.b": np.zeros(4, dtype=np.float32)})
+    return d
+
+
+def load_with(ckpt, name, content):
+    """load_checkpoint with `name`'s bytes replaced by `content`, or None
+    when it raised FormatError."""
+    path = ckpt / name
+    good = path.read_bytes()
+    path.write_bytes(content)
+    try:
+        return read_or_format_error(load_checkpoint, ckpt)
+    finally:
+        path.write_bytes(good)
+
+
+@PROPERTY
+@given(name=st.sampled_from(["enc.w.ctsr", "dec.b.ctsr"]), data=st.data())
+def test_checkpoint_with_truncated_parameter_raises_format_error(ckpt, name, data):
+    full = (ckpt / name).read_bytes()
+    cut = data.draw(st.integers(0, len(full) - 1))
+    assert load_with(ckpt, name, full[:cut]) is None
+
+
+@PROPERTY
+@given(data=st.data())
+def test_checkpoint_with_truncated_manifest_raises_only_format_error(ckpt, data):
+    full = (ckpt / "manifest.txt").read_bytes()
+    state = load_with(ckpt, "manifest.txt", full[:data.draw(st.integers(0, len(full)))])
+    # a cut at a line end, or inside a role (which loading ignores), leaves
+    # a valid manifest; what loads is then what was saved
+    if state is not None:
+        saved = {"enc.w": np.ones((2, 3)), "dec.b": np.zeros(4)}
+        assert set(state) <= set(saved)
+        for name, arr in state.items():
+            np.testing.assert_array_equal(arr, saved[name])
+
+
+@PROPERTY
+@given(name=st.sampled_from(["manifest.txt", "enc.w.ctsr"]),
+       content=st.one_of(st.binary(max_size=200),
+                         st.text(alphabet="ab.\t\n\x00x1/", max_size=60).map(str.encode)))
+def test_checkpoint_with_garbage_file_raises_only_format_error(ckpt, name, content):
+    state = load_with(ckpt, name, content)
+    assert state is None or isinstance(state, dict)

@@ -9,7 +9,9 @@ from crispdec.metrics import (
     ece,
     edge_regularity,
     evaluate,
+    mean_scores,
     miou,
+    score,
     structural_scores,
     tv_smoothness,
     write_csv,
@@ -250,6 +252,36 @@ def test_structural_scores_area_weighting():
     np.testing.assert_allclose(tv, (64 * tv1 + 4 * tv2) / 68, atol=1e-12)
 
 
+# -- one image's scores, their means and the CSV ------------------------------
+
+
+def test_score_matches_the_single_metrics():
+    rng = np.random.default_rng(5)
+    gt = rng.integers(0, 3, size=(16, 16))
+    gt[:3] = IGNORE
+    pred = rng.integers(0, 3, size=(16, 16))
+    conf = rng.random((16, 16))
+    got = score(pred, gt, 3, conf, band_px=3, bins=5)
+    keep = gt != IGNORE
+    assert got == {
+        "miou": miou(pred, gt, 3)[1],
+        "boundary_f1": boundary_f1(pred, gt, 3),
+        "ece": ece(conf[keep], (pred == gt)[keep], 5),
+        **dict(zip(("tv_smooth", "compactness", "edge_regularity"),
+                   structural_scores(pred, 3))),
+    }
+    assert score(pred, gt, 3)["ece"] is None
+
+
+def test_mean_scores_skips_missing_ece():
+    a = dict.fromkeys(("miou", "boundary_f1", "tv_smooth", "compactness",
+                       "edge_regularity"), 1.0)
+    b = dict.fromkeys(a, 0.0)
+    agg = mean_scores([{**a, "ece": 0.25}, {**b, "ece": None}])
+    assert agg["miou"] == 0.5 and agg["ece"] == 0.25
+    assert mean_scores([{**a, "ece": None}])["ece"] is None
+
+
 # -- directory evaluation -------------------------------------------------------------
 
 
@@ -267,20 +299,22 @@ def test_evaluate_perfect_pair(tmp_path):
     gt = np.zeros((8, 8), dtype=np.uint8)
     gt[2:6, 2:6] = 1
     _write_pair(tmp_path, "a.pgm", gt, gt)
-    report, rows, errors = evaluate(tmp_path / "pred", tmp_path / "gt", 2)
+    rows, errors = evaluate(tmp_path / "pred", tmp_path / "gt", 2)
     assert errors == []
-    assert report.miou == 1.0 and report.boundary_f1 == 1.0
     assert len(rows) == 1 and rows[0][0] == "a.pgm"
+    agg = mean_scores([s for _, s in rows])
+    assert agg["miou"] == 1.0 and agg["boundary_f1"] == 1.0
+    assert agg["ece"] is None
 
 
 def test_evaluate_with_confidence_maps(tmp_path):
     gt = np.zeros((4, 4), dtype=np.uint8)
     conf = np.full((4, 4), 1.0, dtype=np.float32)
     _write_pair(tmp_path, "a.pgm", gt, gt, conf)
-    report, _, errors = evaluate(tmp_path / "pred", tmp_path / "gt", 2,
-                                 conf_dir=tmp_path / "conf")
+    rows, errors = evaluate(tmp_path / "pred", tmp_path / "gt", 2,
+                            conf_dir=tmp_path / "conf")
     assert errors == []
-    assert report.ece == 0.0
+    assert mean_scores([s for _, s in rows])["ece"] == 0.0
 
 
 def test_evaluate_shape_mismatch_becomes_error_row(tmp_path):
@@ -288,7 +322,7 @@ def test_evaluate_shape_mismatch_becomes_error_row(tmp_path):
                 np.zeros((4, 4), dtype=np.uint8))
     write_pgm(tmp_path / "pred" / "b.pgm", np.zeros((2, 2), dtype=np.uint8))
     write_pgm(tmp_path / "gt" / "b.pgm", np.zeros((4, 4), dtype=np.uint8))
-    report, rows, errors = evaluate(tmp_path / "pred", tmp_path / "gt", 2)
+    rows, errors = evaluate(tmp_path / "pred", tmp_path / "gt", 2)
     assert len(rows) == 1 and len(errors) == 1
     assert errors[0][0] == "b.pgm"
 
@@ -297,16 +331,25 @@ def test_evaluate_missing_pred_file_error_row(tmp_path):
     (tmp_path / "pred").mkdir()
     (tmp_path / "gt").mkdir()
     write_pgm(tmp_path / "gt" / "a.pgm", np.zeros((4, 4), dtype=np.uint8))
-    _, rows, errors = evaluate(tmp_path / "pred", tmp_path / "gt", 2)
+    rows, errors = evaluate(tmp_path / "pred", tmp_path / "gt", 2)
     assert rows == [] and len(errors) == 1
 
 
 def test_write_csv_layout(tmp_path):
     gt = np.zeros((4, 4), dtype=np.uint8)
     _write_pair(tmp_path, "a.pgm", gt, gt)
-    report, rows, _ = evaluate(tmp_path / "pred", tmp_path / "gt", 2)
+    rows, _ = evaluate(tmp_path / "pred", tmp_path / "gt", 2)
     out = tmp_path / "r.csv"
-    write_csv(out, rows, aggregate=report)
+    agg = write_csv(out, rows)
     lines = out.read_text().strip().splitlines()
     assert lines[0] == "image,miou,boundary_f1,ece,tv_smooth,compactness,edge_regularity"
-    assert lines[-1].startswith("aggregate,")
+    assert lines[1] == "a.pgm,1.000000,1.000000,,1.000000,0.000000,0.000000"
+    assert lines[-1] == "aggregate,1.000000,1.000000,,1.000000,0.000000,0.000000"
+    assert agg == mean_scores([s for _, s in rows])
+
+
+def test_write_csv_without_rows_has_no_aggregate(tmp_path):
+    out = tmp_path / "r.csv"
+    assert write_csv(out, []) is None
+    assert out.read_text().splitlines() == [
+        "image,miou,boundary_f1,ece,tv_smooth,compactness,edge_regularity"]
