@@ -1,6 +1,5 @@
 """How the dynamic fusion head allocates per-pixel weight across the four
-pyramid scales, and what the two uncertainty-modulation variants do to those
-weights.
+pyramid scales, and what the uncertainty modulation does to those weights.
 """
 
 import numpy as np
@@ -37,21 +36,9 @@ _, w = dmf_fuse(e_list, params)
 print("after perturbing scores:      ", w.data.mean(axis=(0, 2, 3)))
 print("weights still sum to one:", np.allclose(w.data.sum(axis=1), 1.0))
 
-# subtractive modulation shifts every scale's score by the same map, which
+# the uncertainty modulation shifts every scale's score by the same map, which
 # cancels inside the softmax: the weights do not move
 u = Tensor(rng.random((1, 1, 16, 16)))
 _, w_mod = dmf_fuse(e_list, params, u_down=u)
-print("subtractive shift changed weights by:",
+print("uncertainty shift changed weights by:",
       float(np.abs(w.data - w_mod.data).max()))
-
-# the per-scale reliability variant multiplies scores instead, so an
-# uncertainty map can genuinely re-rank the scales
-rp = DecoderParams(ModelConfig(per_scale_reliability=True), np.random.default_rng(1))
-for i in range(1, 5):
-    rp[f"score{i}.w"].data[:] = 0.3 * rng.standard_normal(rp[f"score{i}.w"].shape)
-rp["reliability"].data[:] = [2.0, 1.0, 0.5, 0.25]
-e_list_r = project_and_upsample(pyramid(), rp)
-_, w0 = dmf_fuse(e_list_r, rp)
-_, w1 = dmf_fuse(e_list_r, rp, u_down=u)
-print("reliability variant moved weights by:",
-      float(np.abs(w0.data - w1.data).max()))

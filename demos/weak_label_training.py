@@ -1,6 +1,10 @@
 """End-to-end weakly supervised training on a small synthetic set: corrupted
-seed labels in, loss curve and mask-quality gains out. Runs in about a minute
-on one CPU core.
+seed labels in, the loss curve and holdout scores of the trained model out,
+next to the scores of the seed labels themselves. Runs in seconds.
+
+Six epochs on 32 scenes is a smoke run, not a result: the model's holdout
+mIoU stays below that of the seed labels and its boundary F1 is near zero,
+because it predicts mostly background.
 """
 
 import numpy as np
@@ -30,7 +34,7 @@ for s in holdout:
     pred, _ = model.predict(s.image)
     scores.append((miou(pred[0], s.gt, 4)[1], boundary_f1(pred[0], s.gt)))
 scores = np.array(scores)
-print("holdout mIoU: %.4f   boundary F1: %.4f" % tuple(scores.mean(axis=0)))
+print("holdout model mIoU: %.4f   boundary F1: %.4f" % tuple(scores.mean(axis=0)))
 
 seed_holdout = [miou(s.seed.yhat[0], s.gt, 4)[1] for s in holdout]
-print("holdout seed mIoU for reference:", round(float(np.mean(seed_holdout)), 4))
+print("holdout seed-label mIoU:", round(float(np.mean(seed_holdout)), 4))

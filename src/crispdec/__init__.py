@@ -21,7 +21,7 @@ from .fileio import (
 )
 from .geometry import boundary_band, boundary_seeds, distance_to_set, signed_distance
 from .loop import AdamW, TeacherState, TrainConfig, TrainingDiverged, ema_update, relabel, train
-from .losses import LossWeights, PseudoLabelSet, mix_uncertainty, total_loss
+from .losses import PseudoLabelSet, mix_uncertainty, total_loss
 from .metrics import boundary_f1, ece, evaluate, miou, score, structural_scores
 from .model import ModelConfig, SegModel
 from .synthdata import CorruptionSpec, Sample, SceneSpec, generate_scene, make_dataset
@@ -37,7 +37,6 @@ __all__ = [
     "FeaturePyramid",
     "FormatError",
     "IGNORE",
-    "LossWeights",
     "ModelConfig",
     "PseudoLabelSet",
     "Sample",

@@ -3,8 +3,9 @@ corrupted seeds and score mIoU / Boundary-F1 / ECE on held-out scenes.
 
 Configuration levels mirror the cumulative component waterfall:
 A0 static-fusion baseline, A1 +dynamic fusion, A4 +variance head, refiner
-and boundary head, A5 +uncertainty-modulated fusion, A6 +EMA relabeling; U0 strips every uncertainty mechanism — the variance
-head, refinement, modulated fusion, *and* uncertainty-gated relabeling —
+and boundary head, A6 +uncertainty-modulated fusion and EMA relabeling; U0
+strips every uncertainty mechanism — the variance head, refinement,
+modulated fusion, *and* uncertainty-gated relabeling —
 keeping only dynamic fusion and the boundary head (calibration foil).
 """
 
@@ -42,8 +43,6 @@ LEVELS: dict[str, dict] = {
                use_udmf=False, use_ema=False),
     "A4": dict(use_dmf=True, use_var=True, use_ugr=True, use_bnd=True,
                use_udmf=False, use_ema=False),
-    "A5": dict(use_dmf=True, use_var=True, use_ugr=True, use_bnd=True,
-               use_udmf=True, use_ema=False),
     "A6": dict(use_dmf=True, use_var=True, use_ugr=True, use_bnd=True,
                use_udmf=True, use_ema=True),
     # calibration foil: uncertainty-gated relabeling is itself an

@@ -44,15 +44,20 @@ def cmd_gen(args) -> int:
     out = args.out
     if os.path.isdir(out) and os.listdir(out) and not args.force:
         raise DataError(f"{out} exists and is not empty (use --force)")
-    spec = SceneSpec(height=args.height, width=args.width,
-                     num_classes=args.classes, seed=args.seed)
-    cspec = CorruptionSpec(erode_px=args.erode_px, dilate_px=args.dilate_px,
-                           blob_smooth_iters=args.blob_smooth_iters,
-                           drop_thin_prob=args.drop_thin_prob,
-                           flip_prob=args.flip_prob)
+    if args.n < 1:
+        raise UsageError("--n must be at least 1")
+    try:
+        spec = SceneSpec(height=args.height, width=args.width,
+                         num_classes=args.classes, seed=args.seed)
+        cspec = CorruptionSpec(erode_px=args.erode_px, dilate_px=args.dilate_px,
+                               blob_smooth_iters=args.blob_smooth_iters,
+                               drop_thin_prob=args.drop_thin_prob,
+                               flip_prob=args.flip_prob)
+    except ValueError as exc:
+        raise UsageError(exc) from exc
     samples = make_dataset(args.n, spec, cspec, q_percent=args.q_start)
     ds_hash = export_dataset(out, samples)
-    fg = [float((s.gt > 0).mean()) for s in samples] or [0.0]
+    fg = [float((s.gt > 0).mean()) for s in samples]
     print(f"wrote {len(samples)} scenes to {out}")
     print(f"dataset hash: {ds_hash}")
     print(f"mean foreground fraction: {np.mean(fg):.4f}")
@@ -65,8 +70,11 @@ def cmd_train(args) -> int:
     from .model import ModelConfig, SegModel
     from .synthdata import load_dataset
 
-    cfg = TrainConfig(seed=args.seed, epochs=args.epochs,
-                      batch_size=args.batch_size, lr_decoder=args.lr)
+    try:
+        cfg = TrainConfig(seed=args.seed, epochs=args.epochs,
+                          batch_size=args.batch_size, lr_decoder=args.lr)
+    except ValueError as exc:
+        raise UsageError(exc) from exc
     if args.config:
         cfg = parse_config(args.config, base=cfg)  # config file wins over flags
 

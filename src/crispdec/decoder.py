@@ -115,8 +115,6 @@ class DecoderParams:
             param("bnd1.b", (e,), init="zero")
             param("bnd2.w", (1, e, 1, 1))
             param("bnd2.b", (1,), init="zero")
-        if cfg.per_scale_reliability:
-            param("reliability", (4,), init="one")
 
     def __getitem__(self, name: str) -> Tensor:
         return self.tensors[name]
@@ -150,22 +148,15 @@ def project_and_upsample(pyramid: FeaturePyramid, params: DecoderParams) -> list
 def dmf_fuse(e_list: list[Tensor], params: DecoderParams,
              u_down: Tensor | None = None) -> tuple[Tensor, Tensor]:
     """Spatial softmax fusion. Optionally shifts every scale's score by
-    -alpha * u_down; note a uniform shift cancels in the softmax, so the
-    default modulation leaves the weights unchanged (tested behavior). The
-    per_scale_reliability variant multiplies scores instead and does move
-    the weights."""
-    cfg = params.cfg
+    -u_down; a uniform shift cancels in the softmax, so the modulation
+    leaves the weights unchanged (tested behavior)."""
     if u_down is not None and u_down.shape[2:] != e_list[0].shape[2:]:
         raise ValueError("u_down must be at 1/4 resolution")
     scores = []
     for i, ei in enumerate(e_list, start=1):
         s = conv2d(ei, params[f"score{i}.w"], params[f"score{i}.b"].reshape(1, 1, 1, 1))
-        if u_down is not None and cfg.alpha_mod != 0.0:
-            if cfg.per_scale_reliability:
-                r = params["reliability"][i - 1]
-                s = s * (1.0 - cfg.alpha_mod * u_down * r)
-            else:
-                s = s - cfg.alpha_mod * u_down
+        if u_down is not None:
+            s = s - u_down
         scores.append(s)
     w = softmax(cat(scores, axis=1), axis=1)
     fused = w[:, 0:1] * e_list[0]

@@ -191,12 +191,11 @@ def _decoder_checks(rng) -> list[CheckResult]:
         Tensor(rng.standard_normal((1, 2, h4 >> i, h4 >> i)), requires_grad=False)
         for i in range(4)])
     labels = _micro_labels(rng, 1, 2, 4 * h4, 4 * h4)
-    lw = losses.LossWeights()
     tracked = list(params.tensors.values())
 
     def full_loss(*_ts):
         out = dec.decoder_forward(pyr, params)
-        loss, _ = losses.total_loss(out, labels, lw)
+        loss, _ = losses.total_loss(out, labels, use_sdf=True)
         return loss
 
     return [_check("decoder_total_loss", full_loss, tracked, h=1e-5)]

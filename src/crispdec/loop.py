@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .fileio import IGNORE, read_fields
-from .losses import LossWeights, PseudoLabelSet, mix_uncertainty, total_loss
+from .losses import ALPHA, PseudoLabelSet, mix_uncertainty, total_loss
 from .model import SegModel
 from .synthdata import build_ignore_mask
 from .tensor import Tensor, bilinear_upsample, softmax
@@ -54,6 +54,8 @@ class TrainConfig:
     use_sdf: bool = True   # the surface-distance term is optional
 
     def __post_init__(self):
+        if self.batch_size < 1 or self.epochs < 0:
+            raise ValueError("need batch_size >= 1 and epochs >= 0")
         if not (0 <= self.q_end <= self.q_start < 100):
             raise ValueError("need 0 <= q_end <= q_start < 100")
         if not (0 < self.ema_tau < 1):
@@ -159,7 +161,7 @@ def protect_classes(p: np.ndarray, u: np.ndarray,
 
 
 def teacher_predict(model: SegModel, teacher: TeacherState,
-                    image: np.ndarray, alpha: float) -> tuple[np.ndarray, np.ndarray]:
+                    image: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Refined-logit probabilities and mixed normalized uncertainty of the
     teacher on one image."""
     student_state = model.state_dict()
@@ -170,7 +172,7 @@ def teacher_predict(model: SegModel, teacher: TeacherState,
         zstar_up = bilinear_upsample(out.zstar, h, w)
         p = softmax(zstar_up, axis=1).data[0]
         if out.u_ale is not None:
-            maps = mix_uncertainty(out.u_ale, zstar_up, alpha)
+            maps = mix_uncertainty(out.u_ale, zstar_up, ALPHA)
             u = maps.u.data[0, 0]
         else:
             # entropy only when the variance head is ablated
@@ -183,10 +185,10 @@ def teacher_predict(model: SegModel, teacher: TeacherState,
 
 
 def relabel_all(model: SegModel, teacher: TeacherState, data: list,
-                alpha: float, keep_fraction: float) -> None:
+                keep_fraction: float) -> None:
     """Replace every sample's label set with the teacher's, guarded by
     `protect_classes`; the new sets carry the teacher's uncertainty."""
-    maps = [teacher_predict(model, teacher, s.image, alpha) for s in data]
+    maps = [teacher_predict(model, teacher, s.image) for s in data]
     u = np.stack([u for _, u in maps])
     scores, order = protect_classes(np.stack([p for p, _ in maps]), u,
                                     np.concatenate([s.seed.yhat for s in data]))
@@ -251,24 +253,12 @@ def _clip_grads(params: dict[str, Tensor], max_norm: float) -> float:
     return norm
 
 
-def loss_weights_for(model_cfg) -> LossWeights:
-    lw = LossWeights()
-    if not model_cfg.use_var:
-        lw = replace(lw, lambda_het=0.0)
-    if not model_cfg.use_bnd:
-        lw = replace(lw, lambda_bnd=0.0, lambda_sdf=0.0)
-    return lw
-
-
 def train(cfg: TrainConfig, data: list, model: SegModel,
           log_path=None, checkpoint_dir=None) -> list[dict]:
     """Run the full loop over `data` (a list of synthdata Samples); returns
     per-step loss breakdowns. The samples' label sets are refreshed in place
     when the EMA teacher relabels."""
     rng = np.random.default_rng(cfg.seed)
-    weights = loss_weights_for(model.cfg)
-    if not cfg.use_sdf:
-        weights = replace(weights, lambda_sdf=0.0)
     params = model.params
     lr = {k: cfg.lr_decoder * (cfg.lr_encoder_scale if k.startswith("enc.") else 1.0)
           for k in params}
@@ -295,7 +285,7 @@ def train(cfg: TrainConfig, data: list, model: SegModel,
         for epoch in range(cfg.epochs):
             if (teacher is not None and epoch > 0
                     and cfg.relabel_period > 0 and epoch % cfg.relabel_period == 0):
-                relabel_all(model, teacher, data, weights.alpha, cfg.keep_fraction)
+                relabel_all(model, teacher, data, cfg.keep_fraction)
                 relabeled = True
 
             q = anneal_q(epoch, cfg)
@@ -322,7 +312,7 @@ def train(cfg: TrainConfig, data: list, model: SegModel,
                 labels = PseudoLabelSet(yhat=yhat, valid=m, seed_uncertainty=unc)
 
                 outputs = model.forward(images, detach_p=detach_p)
-                loss, breakdown = total_loss(outputs, labels, weights)
+                loss, breakdown = total_loss(outputs, labels, cfg.use_sdf)
                 if not math.isfinite(breakdown["l_total"]):
                     raise TrainingDiverged(step, breakdown)
                 model.zero_grad()

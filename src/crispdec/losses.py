@@ -21,6 +21,15 @@ from .tensor import Tensor, bilinear_upsample, log_softmax, softmax
 DICE_SMOOTH = 1.0
 _MINMAX_TINY = 1e-12
 
+# coefficients of the weighted sum in total_loss (CE has weight 1)
+LAMBDA_DICE = 1.0
+LAMBDA_HET = 0.5
+LAMBDA_BND = 0.5
+LAMBDA_SDF = 0.1
+ALPHA = 0.5    # aleatoric vs entropy mixing of the uncertainty map
+BETA = 2.0     # weight sharpness: w = exp(-BETA * U)
+BAND_PX = 2    # half-width of the boundary band the boundary loss supervises
+
 
 @dataclass
 class PseudoLabelSet:
@@ -43,21 +52,6 @@ class PseudoLabelSet:
             raise ValueError("label/mask/uncertainty shapes disagree")
         if np.any(self.valid & (self.yhat == IGNORE)):
             raise ValueError("valid mask must be 0 on IGNORE pixels")
-
-
-@dataclass
-class LossWeights:
-    lambda_dice: float = 1.0
-    lambda_het: float = 0.5
-    lambda_bnd: float = 0.5
-    lambda_sdf: float = 0.1
-    alpha: float = 0.5   # aleatoric vs entropy mixing
-    beta: float = 2.0    # weight sharpness: w = exp(-beta * U)
-
-    def __post_init__(self):
-        for name, v in self.__dict__.items():
-            if v < 0:
-                raise ValueError(f"{name} must be >= 0")
 
 
 @dataclass
@@ -138,7 +132,7 @@ def _minmax_normalize(u: Tensor) -> Tensor:
 
 
 def mix_uncertainty(u_ale: Tensor, zstar_up: Tensor, alpha: float,
-                    beta: float = 2.0) -> UncertaintyMaps:
+                    beta: float = BETA) -> UncertaintyMaps:
     """Blend normalized aleatoric uncertainty with normalized prediction
     entropy, then map to pixel weights w = exp(-beta * U)."""
     _, _, h, w = zstar_up.shape
@@ -215,20 +209,19 @@ def sdf_loss(pstar_up: Tensor, yhat: np.ndarray) -> Tensor:
     return total / (n * h * w)
 
 
-def total_loss(outputs, labels: PseudoLabelSet, weights: LossWeights,
-               band_px: int = 2) -> tuple[Tensor, dict]:
+def total_loss(outputs, labels: PseudoLabelSet, use_sdf: bool) -> tuple[Tensor, dict]:
     """Combine region, heteroscedastic, boundary, and surface terms.
 
     The segmentation term supervises the refined logits; the heteroscedastic
     term supervises the pre-refine logits. Terms whose inputs are absent
-    (ablated heads) or whose coefficient is zero are skipped and reported
-    as 0 in the breakdown.
+    (ablated heads) are skipped and reported as 0 in the breakdown; the
+    surface term also needs the boundary head, and `use_sdf`.
     """
     n, h, w = labels.yhat.shape
     zstar_up = bilinear_upsample(outputs.zstar, h, w)
 
     if outputs.u_ale is not None:
-        maps = mix_uncertainty(outputs.u_ale, zstar_up, weights.alpha, weights.beta)
+        maps = mix_uncertainty(outputs.u_ale, zstar_up, ALPHA)
         wmap = maps.w
         mean_w = float(wmap.data.mean())
     else:
@@ -237,24 +230,24 @@ def total_loss(outputs, labels: PseudoLabelSet, weights: LossWeights,
 
     l_ce = masked_ce(zstar_up, labels, wmap)
     l_dice = masked_dice(zstar_up, labels, wmap)
-    total = l_ce + weights.lambda_dice * l_dice
+    total = l_ce + LAMBDA_DICE * l_dice
 
     l_het = Tensor(0.0)
-    if outputs.sigma2 is not None and weights.lambda_het > 0:
+    if outputs.sigma2 is not None:
         z_up = bilinear_upsample(outputs.z, h, w)
         sig_up = bilinear_upsample(outputs.u_ale, h, w)
         l_het = heteroscedastic_loss(z_up, labels, sig_up)
-        total = total + weights.lambda_het * l_het
+        total = total + LAMBDA_HET * l_het
 
     l_bnd = Tensor(0.0)
-    if outputs.edge_logits is not None and weights.lambda_bnd > 0:
-        band = boundary_band(labels.yhat, band_px)
+    if outputs.edge_logits is not None:
+        band = boundary_band(labels.yhat, BAND_PX)
         e_up = bilinear_upsample(outputs.edge_logits, h, w)
         sup = None
         ign = labels.yhat == IGNORE
         if ign.any():
             from scipy import ndimage
-            struct = np.ones((2 * band_px + 1, 2 * band_px + 1), dtype=bool)
+            struct = np.ones((2 * BAND_PX + 1, 2 * BAND_PX + 1), dtype=bool)
             sup = np.stack([~ndimage.binary_dilation(im, structure=struct)
                             for im in ign])
             # band pixels come from observed label transitions and stay
@@ -262,13 +255,13 @@ def total_loss(outputs, labels: PseudoLabelSet, weights: LossWeights,
             # unknowable next to unlabeled pixels
             sup = (sup | band.astype(bool)).astype(np.uint8)
         l_bnd = boundary_loss(e_up, band[:, None], None if sup is None else sup[:, None])
-        total = total + weights.lambda_bnd * l_bnd
+        total = total + LAMBDA_BND * l_bnd
 
     l_sdf = Tensor(0.0)
-    if weights.lambda_sdf > 0:
+    if use_sdf and outputs.edge_logits is not None:
         pstar_up = softmax(zstar_up, axis=1)
         l_sdf = sdf_loss(pstar_up, labels.yhat)
-        total = total + weights.lambda_sdf * l_sdf
+        total = total + LAMBDA_SDF * l_sdf
 
     breakdown = {
         "l_total": float(total.data),

@@ -25,16 +25,12 @@ class ModelConfig:
     use_bnd: bool = True                 # boundary head
     use_udmf: bool = True                # uncertainty-modulated second fusion pass
     use_ema: bool = True                 # EMA teacher and relabeling
-    alpha_mod: float = 1.0               # strength of the uncertainty score shift
-    per_scale_reliability: bool = False  # multiplicative modulation variant
     seed: int = 0
     dtype: str = "float64"
 
     def __post_init__(self):
         if self.num_classes < 2 or self.width < 1:
             raise ValueError("need num_classes >= 2 and width >= 1")
-        if self.alpha_mod < 0:
-            raise ValueError("alpha_mod must be >= 0")
         if self.dtype not in ("float32", "float64"):
             raise ValueError(f"dtype must be float32 or float64, got {self.dtype!r}")
         if self.use_udmf and not (self.use_dmf and self.use_var):

@@ -25,8 +25,6 @@ _PALETTE = np.array([
     [0.85, 0.30, 0.25],
     [0.25, 0.70, 0.35],
     [0.30, 0.40, 0.85],
-    [0.85, 0.75, 0.25],
-    [0.70, 0.30, 0.75],
 ])
 
 
@@ -43,8 +41,9 @@ class SceneSpec:
     def __post_init__(self):
         if self.height % 32 or self.width % 32:
             raise ValueError("canvas must be divisible by 32")
-        if self.num_classes < 2 or self.num_classes > len(_PALETTE):
-            raise ValueError("num_classes out of supported range")
+        top = max(_SHAPE_CLASS.values()) + 1  # background + the classes shapes draw
+        if not 2 <= self.num_classes <= top:
+            raise ValueError(f"num_classes must lie in [2, {top}]")
 
 
 @dataclass

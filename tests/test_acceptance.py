@@ -1,7 +1,8 @@
 """Acceptance gate: one test per release criterion.
 
-Criteria 7 and 8 train the full ablation waterfall from scratch (about half
-an hour on one CPU core); everything else is fast. Expected benchmark
+Criteria 7 and 8 train the full ablation waterfall from scratch (1288 s
+with one worker process on a 2-core machine) and are marked `slow`;
+everything else is fast, and `pytest -m "not slow"` runs it. Expected benchmark
 margins live in tests/fixtures/benchmark_thresholds.json, pinned from a
 one-time calibration run — training is deterministic per seed, so reruns
 reproduce the calibrated numbers exactly.
@@ -20,7 +21,7 @@ from crispdec.decoder import DecoderParams, FeaturePyramid, decoder_forward, \
 from crispdec.fileio import IGNORE
 from crispdec.gradcheck import REL_TOL, run_all
 from crispdec.loop import TeacherState, TrainConfig, ema_update, relabel, train
-from crispdec.losses import LossWeights, PseudoLabelSet, heteroscedastic_loss, \
+from crispdec.losses import PseudoLabelSet, heteroscedastic_loss, \
     masked_ce, masked_dice, mix_uncertainty
 from crispdec.metrics import boundary_f1, compactness, ece, miou, tv_smoothness
 from crispdec.model import ModelConfig, SegModel
@@ -254,6 +255,7 @@ def waterfall():
     return results, expected, elapsed
 
 
+@pytest.mark.slow
 def test_criterion_7_ablation_waterfall(waterfall):
     results, expected, elapsed = waterfall
     assert elapsed < 1800.0, f"benchmark took {elapsed:.0f}s (budget 1800s)"
@@ -270,6 +272,7 @@ def test_criterion_7_ablation_waterfall(waterfall):
                 f"{level}/{metric} drifted from the calibrated value"
 
 
+@pytest.mark.slow
 def test_criterion_8_calibration_direction(waterfall):
     results, expected, _ = waterfall
     assert results["A6"]["ece"] <= results["U0"]["ece"], \

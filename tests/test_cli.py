@@ -39,6 +39,16 @@ def test_gen_refuses_nonempty_without_force(tmp_path, capsys):
     assert run_gen(tmp_path / "d", extra=("--force",)) == EXIT_OK
 
 
+@pytest.mark.parametrize("extra", [("--n", "0"), ("--n", "-2"), ("--classes", "5"),
+                                   ("--classes", "6"), ("--height", "60")],
+                         ids=["n0", "n-neg", "classes5", "classes6", "height"])
+def test_gen_rejects_bad_flags(tmp_path, capsys, extra):
+    code = main(["gen", "--out", str(tmp_path / "d"), *extra])
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().err.startswith("usage error: ")
+    assert not os.path.exists(tmp_path / "d")
+
+
 @pytest.fixture(scope="module")
 def trained(tmp_path_factory):
     """One tiny dataset + checkpoint shared by the train/eval tests."""
@@ -71,6 +81,27 @@ def test_train_rejects_inconsistent_ablations(tmp_path, trained, capsys):
     code = main(["train", "--data", str(data), "--out", str(tmp_path / "r"),
                  "--no-dmf"])
     assert code == EXIT_USAGE
+
+
+@pytest.mark.parametrize("extra", [("--batch-size", "0"), ("--batch-size", "-8"),
+                                   ("--epochs", "-1")], ids=["batch0", "batch-neg", "epochs-neg"])
+def test_train_rejects_bad_schedule_flags(tmp_path, trained, capsys, extra):
+    data, _ = trained
+    out = tmp_path / "r"
+    code = main(["train", "--data", str(data), "--out", str(out), *extra])
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().err.startswith("usage error: ")
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("line", ["batch_size=0", "epochs=-1"])
+def test_train_rejects_bad_schedule_config(tmp_path, trained, line):
+    data, _ = trained
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(line + "\n")
+    code = main(["train", "--data", str(data), "--out", str(tmp_path / "r"),
+                 "--config", str(cfg)])
+    assert code == EXIT_DATA
 
 
 def test_train_rejects_unknown_config_key(tmp_path, trained):

@@ -42,11 +42,6 @@ def test_config_refine_requires_variance():
         ModelConfig(use_var=False, use_ugr=True, use_udmf=False)
 
 
-def test_config_rejects_negative_alpha():
-    with pytest.raises(ValueError):
-        ModelConfig(alpha_mod=-0.5)
-
-
 def test_param_manifest_and_inits():
     rng = np.random.default_rng(1)
     p = make_params(rng)
@@ -107,31 +102,6 @@ def test_uniform_shift_cancels_in_weights():
     u = Tensor(rng.random((1, 1, 8, 8)))
     _, w1 = dmf_fuse(e_list, p, u_down=u)
     np.testing.assert_allclose(w0.data, w1.data, atol=1e-9)
-
-
-def test_reliability_variant_moves_weights():
-    rng = np.random.default_rng(7)
-    p = make_params(rng, per_scale_reliability=True)
-    for t in p.tensors.values():
-        t.data += 0.2 * rng.standard_normal(t.shape)
-    p["reliability"].data[:] = [1.0, 2.0, 0.5, 3.0]
-    e_list = project_and_upsample(make_pyramid(rng), p)
-    _, w0 = dmf_fuse(e_list, p)
-    u = Tensor(rng.random((1, 1, 8, 8)) + 0.5)
-    _, w1 = dmf_fuse(e_list, p, u_down=u)
-    assert np.abs(w0.data - w1.data).max() > 1e-4
-
-
-def test_alpha_zero_modulation_is_bit_neutral():
-    rng = np.random.default_rng(8)
-    p = make_params(rng, alpha_mod=0.0)
-    for t in p.tensors.values():
-        t.data += 0.2 * rng.standard_normal(t.shape)
-    e_list = project_and_upsample(make_pyramid(rng), p)
-    f0, w0 = dmf_fuse(e_list, p)
-    u = Tensor(rng.random((1, 1, 8, 8)))
-    f1, w1 = dmf_fuse(e_list, p, u_down=u)
-    assert np.array_equal(f0.data, f1.data) and np.array_equal(w0.data, w1.data)
 
 
 def test_static_fuse_shape():

@@ -9,7 +9,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = ("fusion_weights", "uncertainty_refinement", "autodiff_basics",
-         "boundary_losses", "metrics_tour")
+         "boundary_losses", "metrics_tour", "weak_label_training")
 
 
 @pytest.mark.parametrize("name", DEMOS)

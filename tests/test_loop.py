@@ -88,6 +88,13 @@ def test_parse_config_reads_bool_words_in_any_case(tmp_path, text):
     assert parse_config(p, base=TrainConfig(use_sdf=False)).use_sdf is True
 
 
+@pytest.mark.parametrize("text", ["use_sdf=FALSE", "use_sdf=no", "use_sdf=0"])
+def test_parse_config_reads_false_words_in_any_case(tmp_path, text):
+    p = tmp_path / "c.txt"
+    p.write_text(text + "\n")
+    assert parse_config(p).use_sdf is False
+
+
 @pytest.mark.parametrize("text", ["use_sdf=on", "use_sdf=2", "epochs=2.5",
                                   "lr_decoder=nan", "lr_decoder=inf",
                                   "epochs=2\nepochs=3"])
@@ -267,9 +274,9 @@ def test_relabel_all_stores_the_teacher_uncertainty():
     model = tiny_model()
     data = tiny_data(2)
     teacher = TeacherState({k: v.copy() for k, v in model.state_dict().items()})
-    relabel_all(model, teacher, data, 0.5, 0.9)
+    relabel_all(model, teacher, data, 0.9)
     for s in data:
-        _, u = teacher_predict(model, teacher, s.image, 0.5)
+        _, u = teacher_predict(model, teacher, s.image)
         np.testing.assert_array_equal(s.seed.seed_uncertainty[0], u)
 
 
@@ -410,7 +417,7 @@ def test_teacher_predict_restores_student_state():
                             for k, v in model.state_dict().items()})
     before = model.state_dict()
     img = tiny_data(1)[0].image
-    p, u = teacher_predict(model, teacher, img, alpha=0.5)
+    p, u = teacher_predict(model, teacher, img)
     after = model.state_dict()
     for k in before:
         np.testing.assert_array_equal(before[k], after[k])

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
+from crispdec import losses
 from crispdec.fileio import IGNORE
 from crispdec.losses import (
-    LossWeights,
     PseudoLabelSet,
     boundary_loss,
     heteroscedastic_loss,
@@ -32,11 +32,6 @@ def test_labelset_rejects_valid_on_ignore():
 def test_labelset_promotes_2d():
     s = all_valid(np.zeros((4, 4), dtype=int))
     assert s.yhat.shape == (1, 4, 4)
-
-
-def test_weights_reject_negative():
-    with pytest.raises(ValueError):
-        LossWeights(lambda_bnd=-1.0)
 
 
 def test_ce_uniform_logits_is_log_k():
@@ -242,14 +237,19 @@ def test_total_loss_breakdown_keys_and_consistency():
     out = FakeOutputs(z, z, sigma2=sig, u_ale=u, edge_logits=e)
     y = rng.integers(0, 3, size=(8, 8))
     labels = all_valid(y)
-    w = LossWeights()
-    total, br = total_loss(out, labels, w)
+    total, br = total_loss(out, labels, use_sdf=True)
     assert set(br) == {"l_total", "l_ce", "l_dice", "l_het", "l_bnd", "l_sdf",
                        "mean_w", "valid_fraction"}
-    want = (br["l_ce"] + w.lambda_dice * br["l_dice"] + w.lambda_het * br["l_het"]
-            + w.lambda_bnd * br["l_bnd"] + w.lambda_sdf * br["l_sdf"])
+    assert br["l_sdf"] > 0
+    want = (br["l_ce"] + losses.LAMBDA_DICE * br["l_dice"]
+            + losses.LAMBDA_HET * br["l_het"] + losses.LAMBDA_BND * br["l_bnd"]
+            + losses.LAMBDA_SDF * br["l_sdf"])
     np.testing.assert_allclose(br["l_total"], want, rtol=1e-12)
     assert br["valid_fraction"] == 1.0
+    _, br_off = total_loss(out, labels, use_sdf=False)
+    assert br_off["l_sdf"] == 0.0
+    np.testing.assert_allclose(br_off["l_total"], want - losses.LAMBDA_SDF * br["l_sdf"],
+                               rtol=1e-12)
 
 
 def test_total_loss_skips_ablated_heads():
@@ -257,6 +257,7 @@ def test_total_loss_skips_ablated_heads():
     z = Tensor(rng.standard_normal((1, 3, 4, 4)))
     out = FakeOutputs(z, z)
     labels = all_valid(rng.integers(0, 3, size=(8, 8)))
-    _, br = total_loss(out, labels, LossWeights())
-    assert br["l_het"] == 0.0 and br["l_bnd"] == 0.0
+    _, br = total_loss(out, labels, use_sdf=True)
+    # no SDF term without the boundary head, even with use_sdf
+    assert br["l_het"] == 0.0 and br["l_bnd"] == 0.0 and br["l_sdf"] == 0.0
     assert br["mean_w"] == 1.0

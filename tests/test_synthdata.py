@@ -24,6 +24,21 @@ def test_scene_spec_rejects_bad_canvas():
         SceneSpec(height=60, width=64)
 
 
+@pytest.mark.parametrize("k", [1, 5, 6])
+def test_scene_spec_rejects_classes_no_shape_draws(k):
+    with pytest.raises(ValueError):
+        SceneSpec(num_classes=k)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_scenes_draw_every_class_they_allow(k):
+    spec = SceneSpec(num_classes=k, seed=5)
+    seen = set()
+    for i in range(40):
+        seen.update(np.unique(generate_scene(spec, i)[1]).tolist())
+    assert seen == set(range(k))
+
+
 def test_corruption_spec_rejects_bad_probability():
     with pytest.raises(ValueError):
         CorruptionSpec(flip_prob=1.5)
