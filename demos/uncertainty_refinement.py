@@ -7,7 +7,7 @@ import numpy as np
 from crispdec.decoder import DecoderParams, FeaturePyramid, decoder_forward
 from crispdec.model import ModelConfig
 from crispdec.losses import mix_uncertainty
-from crispdec.tensor import Tensor, bilinear_upsample
+from crispdec.tensor import Tensor, bilinear_upsample, log_softmax, softmax
 
 rng = np.random.default_rng(2)
 pyr = FeaturePyramid(
@@ -34,7 +34,8 @@ print("max |Z* - Z| with a live tower:",
 # uncertainty -> loss weight: w = exp(-beta * U), U mixing normalized
 # aleatoric variance with prediction entropy
 zstar_up = bilinear_upsample(out.zstar, 64, 64)
-maps = mix_uncertainty(out.u_ale, zstar_up, alpha=0.5)
+maps = mix_uncertainty(bilinear_upsample(out.u_ale, 64, 64), softmax(zstar_up, axis=1),
+                       log_softmax(zstar_up, axis=1), alpha=0.5)
 w = np.exp(-2.0 * maps.u.data)
 print("\nmixed uncertainty range:", float(maps.u.data.min()),
       "..", float(maps.u.data.max()))

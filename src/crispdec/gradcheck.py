@@ -14,7 +14,7 @@ from . import decoder as dec
 from . import losses
 from .model import ModelConfig
 from .synthdata import init_encoder_params, toy_encoder_forward
-from .tensor import Tensor, bilinear_upsample, cat, conv2d, softmax
+from .tensor import Tensor, bilinear_upsample, cat, conv2d, log_softmax, softmax
 
 REL_TOL = 1e-4
 _FLOOR = 1e-8
@@ -158,12 +158,12 @@ def _loss_checks(rng) -> list[CheckResult]:
     logits = _rand(rng, n, k, h, w)
     wmap = Tensor(rng.random((n, 1, h, w)) + 0.2)
     out.append(_check("masked_ce",
-                      lambda z: losses.masked_ce(z, labels, wmap), [logits]))
+                      lambda z: losses.masked_ce(log_softmax(z, 1), labels, wmap), [logits]))
     out.append(_check("masked_dice",
-                      lambda z: losses.masked_dice(z, labels, wmap), [logits]))
+                      lambda z: losses.masked_dice(softmax(z, 1), labels, wmap), [logits]))
     sig = Tensor(rng.random((n, 1, h, w)) + 0.3, requires_grad=True)
     out.append(_check("heteroscedastic_loss",
-                      lambda z, s: losses.heteroscedastic_loss(z, labels, s),
+                      lambda z, s: losses.heteroscedastic_loss(log_softmax(z, 1), labels, s),
                       [logits, sig]))
     band = (rng.random((n, 1, h, w)) < 0.3).astype(np.float64)
     elog = _rand(rng, n, 1, h, w)
@@ -175,8 +175,9 @@ def _loss_checks(rng) -> list[CheckResult]:
                       lambda z: losses.sdf_loss(softmax(z, 1), yhat), [zs]))
     ual = Tensor(rng.random((n, 1, 2, 2)) + 0.1, requires_grad=True)
     out.append(_check("mix_uncertainty_weight",
-                      lambda u, z: (losses.mix_uncertainty(u, z, 0.5).w
-                                    * wmap.data).sum(), [ual, logits]))
+                      lambda u, z: (losses.mix_uncertainty(
+                          bilinear_upsample(u, h, w), softmax(z, 1), log_softmax(z, 1), 0.5).w
+                          * wmap.data).sum(), [ual, logits]))
     return out
 
 

@@ -17,7 +17,7 @@ from .fileio import IGNORE, read_fields
 from .losses import ALPHA, PseudoLabelSet, mix_uncertainty, total_loss
 from .model import SegModel
 from .synthdata import build_ignore_mask
-from .tensor import Tensor, bilinear_upsample, softmax
+from .tensor import Tensor, bilinear_upsample, log_softmax, softmax
 
 LOG_COLUMNS = ["step", "l_total", "l_ce", "l_dice", "l_het", "l_bnd", "l_sdf",
                "mean_w", "valid_fraction"]
@@ -56,6 +56,10 @@ class TrainConfig:
     def __post_init__(self):
         if self.batch_size < 1 or self.epochs < 0:
             raise ValueError("need batch_size >= 1 and epochs >= 0")
+        if not (self.lr_decoder > 0 and self.lr_encoder_scale >= 0
+                and self.weight_decay >= 0 and self.grad_clip >= 0):
+            raise ValueError("need lr_decoder > 0 and lr_encoder_scale, weight_decay, "
+                             "grad_clip >= 0")
         if not (0 <= self.q_end <= self.q_start < 100):
             raise ValueError("need 0 <= q_end <= q_start < 100")
         if not (0 < self.ema_tau < 1):
@@ -170,18 +174,12 @@ def teacher_predict(model: SegModel, teacher: TeacherState,
         out = model.forward(image[None])
         h, w = image.shape[1], image.shape[2]
         zstar_up = bilinear_upsample(out.zstar, h, w)
-        p = softmax(zstar_up, axis=1).data[0]
-        if out.u_ale is not None:
-            maps = mix_uncertainty(out.u_ale, zstar_up, ALPHA)
-            u = maps.u.data[0, 0]
-        else:
-            # entropy only when the variance head is ablated
-            maps = mix_uncertainty(Tensor(np.zeros((1, 1, h // 4, w // 4))),
-                                   zstar_up, 0.0)
-            u = maps.u.data[0, 0]
+        p = softmax(zstar_up, axis=1)
+        u_up = None if out.u_ale is None else bilinear_upsample(out.u_ale, h, w)
+        u = mix_uncertainty(u_up, p, log_softmax(zstar_up, axis=1), ALPHA).u
     finally:
         model.load_state_dict(student_state)
-    return p, u
+    return p.data[0], u.data[0, 0]
 
 
 def relabel_all(model: SegModel, teacher: TeacherState, data: list,

@@ -56,7 +56,7 @@ class PseudoLabelSet:
 
 @dataclass
 class UncertaintyMaps:
-    u_ale_up: Tensor   # upsampled + per-image min-max normalized
+    u_ale_up: Tensor | None   # upsampled + per-image min-max normalized
     u_ent: Tensor      # normalized prediction entropy
     u: Tensor          # mixed
     w: Tensor          # exp(-beta * u)
@@ -77,50 +77,40 @@ def _one_hot(labels: PseudoLabelSet, k: int) -> np.ndarray:
     return oh * labels.valid[:, None]
 
 
-def _as_weight(w, shape) -> Tensor:
-    if w is None:
-        return Tensor(np.ones(shape))
-    if not isinstance(w, Tensor):
-        w = Tensor(np.asarray(w, dtype=np.float64))
-    return w
-
-
-def masked_ce(logits_up: Tensor, labels: PseudoLabelSet, w=None) -> Tensor:
-    """Mean over valid pixels of w * (-log softmax(logits)[yhat])."""
-    n, k, h, wd = logits_up.shape
+def masked_ce(logp: Tensor, labels: PseudoLabelSet, w=None) -> Tensor:
+    """Mean over valid pixels of w * (-logp[yhat]), from log-probabilities;
+    `w` is a [N,1,H,W] pixel-weight Tensor, or None for unit weights."""
+    k = logp.shape[1]
     _check_labels(labels, k)
     n_valid = int(labels.valid.sum())
     if n_valid == 0:
         warnings.warn("masked_ce: no valid pixels, returning 0")
         return Tensor(0.0)
     oh = Tensor(_one_hot(labels, k))
-    wt = _as_weight(w, (n, 1, h, wd))
-    nll = -(oh * log_softmax(logits_up, axis=1)).sum(axis=1, keepdims=True)
+    nll = -(oh * logp).sum(axis=1, keepdims=True)
+    if w is not None:
+        nll = w * nll
     vm = Tensor(labels.valid[:, None].astype(np.float64))
-    return (wt * nll * vm).sum() / n_valid
+    return (nll * vm).sum() / n_valid
 
 
-def masked_dice(logits_up: Tensor, labels: PseudoLabelSet, w=None) -> Tensor:
-    """Soft Dice over the valid region, averaged over classes present in the
-    valid targets; the pixel weight enters both soft sums."""
-    n, k, h, wd = logits_up.shape
+def masked_dice(p: Tensor, labels: PseudoLabelSet, w=None) -> Tensor:
+    """Soft Dice of probabilities over the valid region, averaged over the
+    classes present in the valid targets; the pixel weight `w` (as in
+    `masked_ce`) enters both soft sums, taken for all classes at once."""
+    k = p.shape[1]
     _check_labels(labels, k)
     if int(labels.valid.sum()) == 0:
         warnings.warn("masked_dice: no valid pixels, returning 0")
         return Tensor(0.0)
     oh_np = _one_hot(labels, k)
-    present = [c for c in range(k) if oh_np[:, c].any()]
-    p = softmax(logits_up, axis=1)
+    present = np.flatnonzero(oh_np.any(axis=(0, 2, 3)))
+    y = Tensor(oh_np)
     vm = Tensor(labels.valid[:, None].astype(np.float64))
-    wt = _as_weight(w, (n, 1, h, wd)) * vm
-    loss = Tensor(0.0)
-    for c in present:
-        pc = p[:, c:c + 1]
-        yc = Tensor(oh_np[:, c:c + 1])
-        num = 2.0 * (wt * pc * yc).sum() + DICE_SMOOTH
-        den = (wt * (pc + yc)).sum() + DICE_SMOOTH
-        loss = loss + (1.0 - num / den)
-    return loss / len(present)
+    wt = vm if w is None else w * vm
+    num = 2.0 * (wt * p * y).sum(axis=(0, 2, 3)) + DICE_SMOOTH
+    den = (wt * (p + y)).sum(axis=(0, 2, 3)) + DICE_SMOOTH
+    return (1.0 - num / den)[present].sum() / len(present)
 
 
 def _minmax_normalize(u: Tensor) -> Tensor:
@@ -131,24 +121,28 @@ def _minmax_normalize(u: Tensor) -> Tensor:
     return (u - lo) / (rng + _MINMAX_TINY)
 
 
-def mix_uncertainty(u_ale: Tensor, zstar_up: Tensor, alpha: float,
+def mix_uncertainty(u_up: Tensor | None, p: Tensor, logp: Tensor, alpha: float,
                     beta: float = BETA) -> UncertaintyMaps:
-    """Blend normalized aleatoric uncertainty with normalized prediction
-    entropy, then map to pixel weights w = exp(-beta * U)."""
-    _, _, h, w = zstar_up.shape
-    u_up = _minmax_normalize(bilinear_upsample(u_ale, h, w))
-    p = softmax(zstar_up, axis=1)
-    ent = -(p * log_softmax(zstar_up, axis=1)).sum(axis=1, keepdims=True)
+    """Blend the normalized upsampled aleatoric map `u_up` with the
+    normalized entropy of the probabilities `p` (log-probabilities `logp`),
+    then map to pixel weights w = exp(-beta * U). With `u_up` None (no
+    variance head) U is the normalized entropy alone."""
+    ent = -(p * logp).sum(axis=1, keepdims=True)
     u_ent = _minmax_normalize(ent)
-    u = alpha * u_up + (1.0 - alpha) * u_ent
-    return UncertaintyMaps(u_ale_up=u_up, u_ent=u_ent, u=u, w=(-beta * u).exp())
+    if u_up is None:
+        u_ale_up, u = None, u_ent
+    else:
+        u_ale_up = _minmax_normalize(u_up)
+        u = alpha * u_ale_up + (1.0 - alpha) * u_ent
+    return UncertaintyMaps(u_ale_up=u_ale_up, u_ent=u_ent, u=u, w=(-beta * u).exp())
 
 
-def heteroscedastic_loss(z_up: Tensor, labels: PseudoLabelSet,
+def heteroscedastic_loss(logp: Tensor, labels: PseudoLabelSet,
                          sigma2_up: Tensor) -> Tensor:
-    """Mean over valid pixels of CE/(2 sigma^2) + log(sigma^2)/2, with the
-    per-pixel scalar variance (channel mean, upsampled)."""
-    n, k, h, w = z_up.shape
+    """Mean over valid pixels of CE/(2 sigma^2) + log(sigma^2)/2, from the
+    log-probabilities of the pre-refine logits and the per-pixel scalar
+    variance (channel mean, upsampled)."""
+    n, k, h, w = logp.shape
     _check_labels(labels, k)
     if np.any(sigma2_up.data <= 0):
         raise ValueError("sigma2 must be strictly positive")
@@ -157,7 +151,7 @@ def heteroscedastic_loss(z_up: Tensor, labels: PseudoLabelSet,
         warnings.warn("heteroscedastic_loss: no valid pixels, returning 0")
         return Tensor(0.0)
     oh = Tensor(_one_hot(labels, k))
-    nll = -(oh * log_softmax(z_up, axis=1)).sum(axis=1, keepdims=True)
+    nll = -(oh * logp).sum(axis=1, keepdims=True)
     vm = Tensor(labels.valid[:, None].astype(np.float64))
     per_px = nll / (2.0 * sigma2_up) + 0.5 * sigma2_up.log()
     return (per_px * vm).sum() / n_valid
@@ -188,10 +182,11 @@ def boundary_loss(e_log_up: Tensor, band: np.ndarray, supervised=None) -> Tensor
     return bce + (1.0 - num / den)
 
 
-def sdf_loss(pstar_up: Tensor, yhat: np.ndarray) -> Tensor:
-    """Mean over pixels of ||forward-diff grad of P*||_1 weighted by the
-    distance to the label boundary; images with no boundary contribute 0."""
-    n, k, h, w = pstar_up.shape
+def sdf_loss(p: Tensor, yhat: np.ndarray) -> Tensor:
+    """Mean over pixels of ||forward-diff grad of the probabilities p||_1
+    weighted by the distance to the label boundary; images with no boundary
+    contribute 0."""
+    n, k, h, w = p.shape
     yhat = np.asarray(yhat)
     if yhat.ndim == 2:
         yhat = yhat[None]
@@ -203,8 +198,8 @@ def sdf_loss(pstar_up: Tensor, yhat: np.ndarray) -> Tensor:
         d = np.where(yhat[i] == IGNORE, 0.0, d)  # no penalty where labels are unknown
         phi[i, 0] = d
     phi_t = Tensor(phi)
-    du = (pstar_up[:, :, 1:, :] - pstar_up[:, :, :-1, :]).abs().sum(axis=1, keepdims=True)
-    dv = (pstar_up[:, :, :, 1:] - pstar_up[:, :, :, :-1]).abs().sum(axis=1, keepdims=True)
+    du = (p[:, :, 1:, :] - p[:, :, :-1, :]).abs().sum(axis=1, keepdims=True)
+    dv = (p[:, :, :, 1:] - p[:, :, :, :-1]).abs().sum(axis=1, keepdims=True)
     total = (du * phi_t[:, :, :-1, :]).sum() + (dv * phi_t[:, :, :, :-1]).sum()
     return total / (n * h * w)
 
@@ -215,28 +210,29 @@ def total_loss(outputs, labels: PseudoLabelSet, use_sdf: bool) -> tuple[Tensor, 
     The segmentation term supervises the refined logits; the heteroscedastic
     term supervises the pre-refine logits. Terms whose inputs are absent
     (ablated heads) are skipped and reported as 0 in the breakdown; the
-    surface term also needs the boundary head, and `use_sdf`.
+    surface term also needs the boundary head, and `use_sdf`. The
+    probabilities and log-probabilities of the refined logits and the
+    upsampled aleatoric map are computed once and shared by the terms.
     """
     n, h, w = labels.yhat.shape
     zstar_up = bilinear_upsample(outputs.zstar, h, w)
+    p = softmax(zstar_up, axis=1)
+    logp = log_softmax(zstar_up, axis=1)
 
+    wmap, mean_w = None, 1.0
     if outputs.u_ale is not None:
-        maps = mix_uncertainty(outputs.u_ale, zstar_up, ALPHA)
-        wmap = maps.w
+        u_up = bilinear_upsample(outputs.u_ale, h, w)
+        wmap = mix_uncertainty(u_up, p, logp, ALPHA).w
         mean_w = float(wmap.data.mean())
-    else:
-        wmap = None
-        mean_w = 1.0
 
-    l_ce = masked_ce(zstar_up, labels, wmap)
-    l_dice = masked_dice(zstar_up, labels, wmap)
+    l_ce = masked_ce(logp, labels, wmap)
+    l_dice = masked_dice(p, labels, wmap)
     total = l_ce + LAMBDA_DICE * l_dice
 
     l_het = Tensor(0.0)
     if outputs.sigma2 is not None:
         z_up = bilinear_upsample(outputs.z, h, w)
-        sig_up = bilinear_upsample(outputs.u_ale, h, w)
-        l_het = heteroscedastic_loss(z_up, labels, sig_up)
+        l_het = heteroscedastic_loss(log_softmax(z_up, axis=1), labels, u_up)
         total = total + LAMBDA_HET * l_het
 
     l_bnd = Tensor(0.0)
@@ -259,8 +255,7 @@ def total_loss(outputs, labels: PseudoLabelSet, use_sdf: bool) -> tuple[Tensor, 
 
     l_sdf = Tensor(0.0)
     if use_sdf and outputs.edge_logits is not None:
-        pstar_up = softmax(zstar_up, axis=1)
-        l_sdf = sdf_loss(pstar_up, labels.yhat)
+        l_sdf = sdf_loss(p, labels.yhat)
         total = total + LAMBDA_SDF * l_sdf
 
     breakdown = {

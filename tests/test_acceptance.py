@@ -27,7 +27,7 @@ from crispdec.metrics import boundary_f1, compactness, ece, miou, tv_smoothness
 from crispdec.model import ModelConfig, SegModel
 from crispdec.synthdata import CorruptionSpec, SceneSpec, build_ignore_mask, \
     make_dataset
-from crispdec.tensor import Tensor, softmax
+from crispdec.tensor import Tensor, log_softmax, softmax
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -117,7 +117,7 @@ def test_criterion_4_loss_closed_forms():
         labels = PseudoLabelSet(yhat=np.zeros((1, 4, 4), dtype=np.int64),
                                 valid=np.ones((1, 4, 4), dtype=np.uint8),
                                 seed_uncertainty=np.zeros((1, 4, 4)))
-        assert abs(float(masked_ce(z, labels).data) - math.log(k)) < tol
+        assert abs(float(masked_ce(log_softmax(z, 1), labels).data) - math.log(k)) < tol
 
     # unit variance halves the CE term and contributes no log penalty
     k = 3
@@ -126,7 +126,7 @@ def test_criterion_4_loss_closed_forms():
                             valid=np.ones((1, 4, 4), dtype=np.uint8),
                             seed_uncertainty=np.zeros((1, 4, 4)))
     sigma2 = Tensor(np.ones((1, 1, 4, 4)))  # scalar variance map
-    het = float(heteroscedastic_loss(z, labels, sigma2).data)
+    het = float(heteroscedastic_loss(log_softmax(z, 1), labels, sigma2).data)
     assert abs(het - 0.5 * math.log(k)) < tol
 
     # perfect one-hot prediction drives soft Dice to zero
@@ -135,12 +135,12 @@ def test_criterion_4_loss_closed_forms():
     zz = np.where(np.arange(2)[None, :, None, None] == yhat[:, None], 40.0, -40.0)
     labels2 = PseudoLabelSet(yhat=yhat, valid=np.ones((1, 4, 4), dtype=np.uint8),
                              seed_uncertainty=np.zeros((1, 4, 4)))
-    assert float(masked_dice(Tensor(zz), labels2).data) < 1e-9
+    assert float(masked_dice(softmax(Tensor(zz), 1), labels2).data) < 1e-9
 
     # uncertainty-to-weight map: U=1 with beta=2 gives w=e^-2
     u_ale = Tensor(np.linspace(0, 1, 16).reshape(1, 1, 4, 4))
     zs = Tensor(np.zeros((1, 2, 4, 4)))
-    maps = mix_uncertainty(u_ale, zs, alpha=1.0, beta=2.0)
+    maps = mix_uncertainty(u_ale, softmax(zs, 1), log_softmax(zs, 1), alpha=1.0, beta=2.0)
     w = maps.w.data
     assert abs(w.min() - math.exp(-2.0)) < tol and abs(w.max() - 1.0) < tol
 

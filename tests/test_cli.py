@@ -84,7 +84,8 @@ def test_train_rejects_inconsistent_ablations(tmp_path, trained, capsys):
 
 
 @pytest.mark.parametrize("extra", [("--batch-size", "0"), ("--batch-size", "-8"),
-                                   ("--epochs", "-1")], ids=["batch0", "batch-neg", "epochs-neg"])
+                                   ("--epochs", "-1"), ("--lr", "0"), ("--lr", "-1")],
+                         ids=["batch0", "batch-neg", "epochs-neg", "lr0", "lr-neg"])
 def test_train_rejects_bad_schedule_flags(tmp_path, trained, capsys, extra):
     data, _ = trained
     out = tmp_path / "r"
@@ -94,7 +95,9 @@ def test_train_rejects_bad_schedule_flags(tmp_path, trained, capsys, extra):
     assert not os.path.exists(out)
 
 
-@pytest.mark.parametrize("line", ["batch_size=0", "epochs=-1"])
+@pytest.mark.parametrize("line", ["batch_size=0", "epochs=-1", "lr_decoder=0",
+                                  "lr_encoder_scale=-0.1", "weight_decay=-1e-4",
+                                  "grad_clip=-1"])
 def test_train_rejects_bad_schedule_config(tmp_path, trained, line):
     data, _ = trained
     cfg = tmp_path / "cfg.txt"

@@ -49,6 +49,11 @@ def test_config_rejects_bad_tau_and_keep():
         TrainConfig(keep_fraction=0.0)
 
 
+def test_config_accepts_zero_encoder_scale_decay_and_clip():
+    # an encoder lr scale of 0 freezes the encoder; grad_clip 0 turns clipping off
+    TrainConfig(lr_encoder_scale=0.0, weight_decay=0.0, grad_clip=0.0)
+
+
 def test_parse_config_overrides_and_types(tmp_path):
     p = tmp_path / "c.txt"
     p.write_text("# comment\n\nepochs = 5\nlr_decoder=1e-3\nflip_augment=false\n")
@@ -409,6 +414,17 @@ def test_train_no_relabel_without_ema():
     train(cfg, data, tiny_model(use_ema=False))
     for s, y in zip(data, before):
         np.testing.assert_array_equal(s.seed.yhat, y)
+
+
+def test_teacher_predict_without_variance_head_is_normalized_entropy():
+    model = tiny_model(seed=3, use_var=False, use_ugr=False, use_udmf=False)
+    teacher = TeacherState(model.state_dict())
+    img = tiny_data(1)[0].image
+    p, u = teacher_predict(model, teacher, img)
+    ent = -(p * np.log(p)).sum(axis=0)
+    want = (ent - ent.min()) / (ent.max() - ent.min() + 1e-12)
+    np.testing.assert_allclose(u, want, rtol=0, atol=1e-12)
+    assert u.min() == 0.0 and u.max() > 0.999
 
 
 def test_teacher_predict_restores_student_state():

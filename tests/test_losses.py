@@ -13,7 +13,7 @@ from crispdec.losses import (
     sdf_loss,
     total_loss,
 )
-from crispdec.tensor import Tensor, softmax
+from crispdec.tensor import Tensor, bilinear_upsample, log_softmax, softmax
 
 
 def all_valid(yhat):
@@ -39,7 +39,7 @@ def test_ce_uniform_logits_is_log_k():
     for k in (2, 3, 4, 7):
         logits = Tensor(np.zeros((1, k, 3, 3)))
         labels = all_valid(np.zeros((3, 3), dtype=int))
-        np.testing.assert_allclose(float(masked_ce(logits, labels).data),
+        np.testing.assert_allclose(float(masked_ce(log_softmax(logits, 1), labels).data),
                                    np.log(k), atol=1e-9)
 
 
@@ -48,7 +48,7 @@ def test_ce_matches_manual_nll():
     z = rng.standard_normal((1, 3, 2, 2))
     y = rng.integers(0, 3, size=(2, 2))
     labels = all_valid(y)
-    got = float(masked_ce(Tensor(z), labels).data)
+    got = float(masked_ce(log_softmax(Tensor(z), 1), labels).data)
     p = softmax(Tensor(z), axis=1).data[0]
     want = np.mean([-np.log(p[y[i, j], i, j]) for i in range(2) for j in range(2)])
     np.testing.assert_allclose(got, want, atol=1e-12)
@@ -60,13 +60,13 @@ def test_ce_ignores_invalid_pixels():
     yhat = np.array([[1, IGNORE]])  # wrong label, but only pixel 1 ignored
     labels = PseudoLabelSet(yhat=yhat, valid=np.array([[1, 0]]),
                             seed_uncertainty=np.zeros((1, 2)))
-    loss = float(masked_ce(Tensor(z), labels).data)
+    loss = float(masked_ce(log_softmax(Tensor(z), 1), labels).data)
     assert loss > 10.0  # dominated by the confident wrong pixel
     labels2 = PseudoLabelSet(yhat=np.array([[IGNORE, IGNORE]]),
                              valid=np.zeros((1, 2), dtype=np.uint8),
                              seed_uncertainty=np.zeros((1, 2)))
     with pytest.warns(UserWarning):
-        assert float(masked_ce(Tensor(z), labels2).data) == 0.0
+        assert float(masked_ce(log_softmax(Tensor(z), 1), labels2).data) == 0.0
 
 
 def test_ce_invalid_pixel_gradient_is_zero():
@@ -74,7 +74,7 @@ def test_ce_invalid_pixel_gradient_is_zero():
                requires_grad=True)
     labels = PseudoLabelSet(yhat=np.array([[0, IGNORE]]), valid=np.array([[1, 0]]),
                             seed_uncertainty=np.zeros((1, 2)))
-    masked_ce(z, labels).backward()
+    masked_ce(log_softmax(z, 1), labels).backward()
     np.testing.assert_array_equal(z.grad[:, :, 0, 1], 0.0)
     assert np.abs(z.grad[:, :, 0, 0]).max() > 0
 
@@ -83,8 +83,9 @@ def test_ce_weight_scales_linearly():
     rng = np.random.default_rng(2)
     z = Tensor(rng.standard_normal((1, 3, 2, 2)))
     labels = all_valid(rng.integers(0, 3, size=(2, 2)))
-    base = float(masked_ce(z, labels).data)
-    half = float(masked_ce(z, labels, Tensor(np.full((1, 1, 2, 2), 0.5))).data)
+    logp = log_softmax(z, 1)
+    base = float(masked_ce(logp, labels).data)
+    half = float(masked_ce(logp, labels, Tensor(np.full((1, 1, 2, 2), 0.5))).data)
     np.testing.assert_allclose(half, 0.5 * base, atol=1e-12)
 
 
@@ -94,7 +95,7 @@ def test_dice_perfect_prediction_near_zero():
     z = np.zeros((1, 2, 4, 4))
     z[0, 1] = np.where(y == 1, 60.0, -60.0)
     z[0, 0] = -z[0, 1]
-    loss = float(masked_dice(Tensor(z), all_valid(y)).data)
+    loss = float(masked_dice(softmax(Tensor(z), 1), all_valid(y)).data)
     assert loss < 1e-3
 
 
@@ -102,26 +103,59 @@ def test_dice_disjoint_prediction_near_one_per_class():
     y = np.zeros((2, 2), dtype=int)  # all background
     z = np.zeros((1, 2, 2, 2))
     z[0, 1] = 60.0  # predicts class 1 everywhere, target has only class 0
-    loss = float(masked_dice(Tensor(z), all_valid(y)).data)
+    loss = float(masked_dice(softmax(Tensor(z), 1), all_valid(y)).data)
     # only class 0 is present in targets: dice(num~1, den~5) -> ~0.8
     np.testing.assert_allclose(loss, 1.0 - 1.0 / (0.0 + 4.0 + 1.0), atol=1e-3)
 
 
 def test_dice_absent_classes_excluded():
     y = np.zeros((3, 3), dtype=int)
-    z = Tensor(np.random.default_rng(3).standard_normal((1, 4, 3, 3)))
-    # identical loss whether K=4 or K=2 head, as long as present classes match
-    l4 = float(masked_dice(z, all_valid(y)).data)
-    l1 = float(masked_dice(z[:, :1] * 1.0, all_valid(y)).data) if False else None
-    assert 0.0 <= l4 <= 1.0  # single present class -> one dice term
+    p = softmax(Tensor(np.random.default_rng(3).standard_normal((1, 4, 3, 3))), 1)
+    # only class 0 is present: a K=4 head's Dice is the class-0 term alone
+    l4 = float(masked_dice(p, all_valid(y)).data)
+    p0 = p.data[0, 0]
+    want = 1.0 - (2.0 * p0.sum() + 1.0) / ((p0 + 1.0).sum() + 1.0)
+    np.testing.assert_allclose(l4, want, rtol=0, atol=1e-12)
+
+
+def _dice_per_class_loop(p, labels, w):
+    """Reference: one soft Dice term per present class, summed in a loop."""
+    valid = labels.valid[:, None].astype(bool)
+    oh = (labels.yhat[:, None] == np.arange(p.shape[1])[None, :, None, None]) & valid
+    wt = w * valid
+    terms = []
+    for c in range(p.shape[1]):
+        if oh[:, c].any():
+            pc, yc = p[:, c:c + 1], oh[:, c:c + 1]
+            num = 2.0 * (wt * pc * yc).sum() + losses.DICE_SMOOTH
+            den = (wt * (pc + yc)).sum() + losses.DICE_SMOOTH
+            terms.append(1.0 - num / den)
+    return sum(terms) / len(terms)
+
+
+def test_dice_matches_per_class_loop():
+    rng = np.random.default_rng(12)
+    n, k, h, w = 2, 6, 5, 7
+    for absent in ((), (1,), (0, 4, 5)):
+        present = [c for c in range(k) if c not in absent]
+        yhat = rng.choice(present, size=(n, h, w))
+        valid = (rng.random((n, h, w)) < 0.8).astype(np.uint8)
+        yhat[valid == 0] = IGNORE
+        labels = PseudoLabelSet(yhat=yhat, valid=valid, seed_uncertainty=np.zeros((n, h, w)))
+        p = softmax(Tensor(3.0 * rng.standard_normal((n, k, h, w))), 1).data
+        wmap = rng.random((n, 1, h, w)) + 0.1
+        got = float(masked_dice(Tensor(p), labels, Tensor(wmap)).data)
+        np.testing.assert_allclose(got, _dice_per_class_loop(p, labels, wmap),
+                                   rtol=0, atol=1e-12)
 
 
 def test_heteroscedastic_sigma_one_is_half_ce():
     rng = np.random.default_rng(4)
     z = Tensor(rng.standard_normal((1, 3, 2, 2)))
     labels = all_valid(rng.integers(0, 3, size=(2, 2)))
-    ce = float(masked_ce(z, labels).data)
-    het = float(heteroscedastic_loss(z, labels, Tensor(np.ones((1, 1, 2, 2)))).data)
+    logp = log_softmax(z, 1)
+    ce = float(masked_ce(logp, labels).data)
+    het = float(heteroscedastic_loss(logp, labels, Tensor(np.ones((1, 1, 2, 2)))).data)
     np.testing.assert_allclose(het, 0.5 * ce, atol=1e-9)
 
 
@@ -129,17 +163,16 @@ def test_heteroscedastic_rejects_nonpositive_sigma():
     z = Tensor(np.zeros((1, 2, 1, 1)))
     labels = all_valid(np.zeros((1, 1), dtype=int))
     with pytest.raises(ValueError):
-        heteroscedastic_loss(z, labels, Tensor(np.zeros((1, 1, 1, 1))))
+        heteroscedastic_loss(log_softmax(z, 1), labels, Tensor(np.zeros((1, 1, 1, 1))))
 
 
 def test_heteroscedastic_high_variance_discounts_ce():
     z = np.zeros((1, 2, 1, 1))
     z[0, 1] = 30.0  # very wrong vs label 0
     labels = all_valid(np.zeros((1, 1), dtype=int))
-    tight = float(heteroscedastic_loss(Tensor(z), labels,
-                                       Tensor(np.full((1, 1, 1, 1), 0.5))).data)
-    loose = float(heteroscedastic_loss(Tensor(z), labels,
-                                       Tensor(np.full((1, 1, 1, 1), 10.0))).data)
+    logp = log_softmax(Tensor(z), 1)
+    tight = float(heteroscedastic_loss(logp, labels, Tensor(np.full((1, 1, 1, 1), 0.5))).data)
+    loose = float(heteroscedastic_loss(logp, labels, Tensor(np.full((1, 1, 1, 1), 10.0))).data)
     assert loose < tight
 
 
@@ -147,7 +180,7 @@ def test_mix_weight_closed_forms():
     # U=1 at beta=2 -> w=e^-2; U=0 -> w=1
     u = Tensor(np.array([[[[0.0, 1.0]]]]))
     z = Tensor(np.zeros((1, 2, 1, 2)))
-    maps = mix_uncertainty(u, z, alpha=1.0, beta=2.0)
+    maps = mix_uncertainty(u, softmax(z, 1), log_softmax(z, 1), alpha=1.0, beta=2.0)
     np.testing.assert_allclose(maps.w.data[0, 0, 0], [1.0, np.exp(-2.0)], atol=1e-9)
 
 
@@ -155,7 +188,7 @@ def test_mix_degenerate_constant_maps_give_w_one():
     # uniform logits and constant aleatoric map: both normalized maps zero
     u = Tensor(np.full((1, 1, 2, 2), 3.3))
     z = Tensor(np.zeros((1, 2, 2, 2)))
-    maps = mix_uncertainty(u, z, alpha=0.5)
+    maps = mix_uncertainty(u, softmax(z, 1), log_softmax(z, 1), alpha=0.5)
     np.testing.assert_array_equal(maps.u.data, 0.0)
     np.testing.assert_array_equal(maps.w.data, 1.0)
 
@@ -164,7 +197,8 @@ def test_mix_normalized_maps_in_unit_interval():
     rng = np.random.default_rng(5)
     u = Tensor(rng.random((2, 1, 4, 4)) * 7.0)
     z = Tensor(rng.standard_normal((2, 3, 8, 8)))
-    maps = mix_uncertainty(u, z, alpha=0.5)
+    maps = mix_uncertainty(bilinear_upsample(u, 8, 8), softmax(z, 1), log_softmax(z, 1),
+                           alpha=0.5)
     for m in (maps.u_ale_up, maps.u_ent, maps.u):
         assert m.data.min() >= 0.0 and m.data.max() <= 1.0 + 1e-9
     assert maps.w.data.min() > 0.0 and maps.w.data.max() <= 1.0
@@ -261,3 +295,27 @@ def test_total_loss_skips_ablated_heads():
     # no SDF term without the boundary head, even with use_sdf
     assert br["l_het"] == 0.0 and br["l_bnd"] == 0.0 and br["l_sdf"] == 0.0
     assert br["mean_w"] == 1.0
+
+
+def test_total_loss_computes_each_shared_map_once(monkeypatch):
+    rng = np.random.default_rng(10)
+    z = Tensor(rng.standard_normal((2, 3, 4, 4)))
+    sig = Tensor(rng.random((2, 3, 4, 4)) + 0.5)
+    out = FakeOutputs(z, Tensor(rng.standard_normal((2, 3, 4, 4))), sigma2=sig,
+                      u_ale=sig.mean(axis=1, keepdims=True),
+                      edge_logits=Tensor(rng.standard_normal((2, 1, 4, 4))))
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(t, *args, **kwargs):
+            calls.append((name, id(t)))
+            return fn(t, *args, **kwargs)
+        monkeypatch.setattr(losses, name, wrapper)
+
+    for name in ("softmax", "log_softmax", "bilinear_upsample"):
+        counted(name, getattr(losses, name))
+    total_loss(out, all_valid(rng.integers(0, 3, size=(2, 8, 8))), use_sdf=True)
+    for name in ("softmax", "log_softmax"):
+        ids = [i for n, i in calls if n == name]
+        assert ids and len(ids) == len(set(ids)), name
+    assert calls.count(("bilinear_upsample", id(out.u_ale))) == 1
