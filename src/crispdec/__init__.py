@@ -25,7 +25,7 @@ from .losses import PseudoLabelSet, mix_uncertainty, total_loss
 from .metrics import boundary_f1, ece, evaluate, miou, score, structural_scores
 from .model import ModelConfig, SegModel
 from .synthdata import CorruptionSpec, Sample, SceneSpec, generate_scene, make_dataset
-from .tensor import Tensor, bilinear_upsample, cat, conv2d, finite_diff_grad, softmax
+from .tensor import Tensor, bilinear_upsample, cat, conv2d, softmax
 
 __version__ = "0.1.0"
 
@@ -57,7 +57,6 @@ __all__ = [
     "ece",
     "ema_update",
     "evaluate",
-    "finite_diff_grad",
     "generate_scene",
     "load_checkpoint",
     "make_dataset",

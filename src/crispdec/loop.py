@@ -60,6 +60,10 @@ class TrainConfig:
                 and self.weight_decay >= 0 and self.grad_clip >= 0):
             raise ValueError("need lr_decoder > 0 and lr_encoder_scale, weight_decay, "
                              "grad_clip >= 0")
+        if min(self.q_anneal_epochs, self.relabel_period, self.detach_p_epochs,
+               self.warmup_epochs) < 0:
+            raise ValueError("need q_anneal_epochs, relabel_period, detach_p_epochs, "
+                             "warmup_epochs >= 0")
         if not (0 <= self.q_end <= self.q_start < 100):
             raise ValueError("need 0 <= q_end <= q_start < 100")
         if not (0 < self.ema_tau < 1):

@@ -18,7 +18,6 @@ __all__ = [
     "bilinear_upsample",
     "softmax",
     "log_softmax",
-    "finite_diff_grad",
 ]
 
 
@@ -427,38 +426,29 @@ def conv2d(t: Tensor, kernel: Tensor, bias: Tensor | None = None,
     return Tensor._from_op(out_data, parents, bwd)
 
 
-def _interp_indices(src: int, dst: int, dtype):
-    """Half-pixel-center bilinear source indices and blend weights."""
-    coords = (np.arange(dst, dtype=dtype) + 0.5) * (src / dst) - 0.5
+def _interp_matrix(src: int, dst: int) -> np.ndarray:
+    """[dst, src] half-pixel-center bilinear weights: row i blends the two
+    source samples nearest output i, clamped at the edges, so each row has
+    at most two nonzeros and sums to 1."""
+    coords = (np.arange(dst, dtype=np.float64) + 0.5) * (src / dst) - 0.5
     coords = np.clip(coords, 0.0, src - 1.0)
     lo = np.floor(coords).astype(np.intp)
     hi = np.minimum(lo + 1, src - 1)
     frac = coords - lo
-    return lo, hi, frac
-
-
-def _scatter_add(dst: np.ndarray, axis: int, index: np.ndarray, vals: np.ndarray):
-    """dst[..., index[j], ...] += vals[..., j, ...] along `axis`, with the
-    contributions to each destination summed in ascending j, as
-    `np.add.at` sums them (same values, bit for bit). Round r adds every
-    destination's r-th contribution, so no round repeats a destination and
-    plain fancy-indexed adds suffice."""
-    order = np.argsort(index, kind="stable")
-    first = np.searchsorted(index[order], index[order], side="left")
-    rank = np.empty_like(order)
-    rank[order] = np.arange(index.size) - first
-    lead = (slice(None),) * axis
-    for r in range(int(rank.max()) + 1):
-        j = np.flatnonzero(rank == r)
-        dst[lead + (index[j],)] += vals[lead + (j,)]
+    rows = np.arange(dst)
+    m = np.zeros((dst, src))
+    m[rows, hi] += frac
+    m[rows, lo] += 1.0 - frac
+    return m
 
 
 def bilinear_upsample(t: Tensor, target_h: int, target_w: int) -> Tensor:
     """Bilinear interpolation to (target_h, target_w), half-pixel centers
-    (align_corners false). Mean-preserving on constant inputs."""
+    (align_corners false). Mean-preserving on constant inputs. Separable and
+    linear, so the forward is R_h X R_w^T and the backward its transpose."""
     if t.data.ndim != 4:
         raise ValueError("bilinear_upsample expects an N,C,H,W tensor")
-    n, c, h, w = t.shape
+    h, w = t.shape[2:]
     if h == 0 or w == 0 or target_h <= 0 or target_w <= 0:
         raise ValueError("zero-sized spatial dimensions")
     if target_h < h or target_w < w:
@@ -466,42 +456,10 @@ def bilinear_upsample(t: Tensor, target_h: int, target_w: int) -> Tensor:
     if (target_h, target_w) == (h, w):
         return t * 1.0  # identity, but keeps a graph node
 
-    dt = t.data.dtype
-    r0, r1, fr = _interp_indices(h, target_h, dt)
-    c0, c1, fc = _interp_indices(w, target_w, dt)
-    fr_ = fr[None, None, :, None]
-    fc_ = fc[None, None, None, :]
-
-    rows0 = t.data[:, :, r0, :]
-    rows1 = t.data[:, :, r1, :]
-    v = rows0 * (1.0 - fr_) + rows1 * fr_
-    out_data = v[:, :, :, c0] * (1.0 - fc_) + v[:, :, :, c1] * fc_
+    rh = _interp_matrix(h, target_h)
+    rw = _interp_matrix(w, target_w)
 
     def bwd(g):
-        gv = np.zeros((n, c, target_h, w), dtype=g.dtype)
-        _scatter_add(gv, 3, c0, g * (1.0 - fc_))
-        _scatter_add(gv, 3, c1, g * fc_)
-        gx = np.zeros_like(t.data)
-        _scatter_add(gx, 2, r0, gv * (1.0 - fr_))
-        _scatter_add(gx, 2, r1, gv * fr_)
-        t._accumulate(gx)
+        t._accumulate(rh.T @ g @ rw)
 
-    return Tensor._from_op(out_data, (t,), bwd)
-
-
-def finite_diff_grad(f, t: Tensor, h: float = 1e-4) -> np.ndarray:
-    """Central-difference gradient of a scalar-valued `f` w.r.t. `t.data`.
-
-    `f` must be deterministic; `t` is perturbed in place and restored.
-    """
-    flat = t.data.ravel()
-    grad = np.zeros_like(flat)
-    for i in range(flat.size):
-        orig = flat[i]
-        flat[i] = orig + h
-        fp = float(f(t).data)
-        flat[i] = orig - h
-        fm = float(f(t).data)
-        flat[i] = orig
-        grad[i] = (fp - fm) / (2.0 * h)
-    return grad.reshape(t.shape)
+    return Tensor._from_op(rh @ t.data @ rw.T, (t,), bwd)

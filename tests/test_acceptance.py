@@ -1,6 +1,6 @@
 """Acceptance gate: one test per release criterion.
 
-Criteria 7 and 8 train the full ablation waterfall from scratch (1288 s
+Criteria 7 and 8 train the full ablation waterfall from scratch (793 s
 with one worker process on a 2-core machine) and are marked `slow`;
 everything else is fast, and `pytest -m "not slow"` runs it. Expected benchmark
 margins live in tests/fixtures/benchmark_thresholds.json, pinned from a

@@ -97,7 +97,9 @@ def test_train_rejects_bad_schedule_flags(tmp_path, trained, capsys, extra):
 
 @pytest.mark.parametrize("line", ["batch_size=0", "epochs=-1", "lr_decoder=0",
                                   "lr_encoder_scale=-0.1", "weight_decay=-1e-4",
-                                  "grad_clip=-1"])
+                                  "grad_clip=-1", "warmup_epochs=-1",
+                                  "q_anneal_epochs=-1", "relabel_period=-1",
+                                  "detach_p_epochs=-1"])
 def test_train_rejects_bad_schedule_config(tmp_path, trained, line):
     data, _ = trained
     cfg = tmp_path / "cfg.txt"

@@ -52,6 +52,8 @@ def test_config_rejects_bad_tau_and_keep():
 def test_config_accepts_zero_encoder_scale_decay_and_clip():
     # an encoder lr scale of 0 freezes the encoder; grad_clip 0 turns clipping off
     TrainConfig(lr_encoder_scale=0.0, weight_decay=0.0, grad_clip=0.0)
+    # 0 epochs of warmup, annealing or detaching, and relabel_period 0 (never)
+    TrainConfig(warmup_epochs=0, q_anneal_epochs=0, relabel_period=0, detach_p_epochs=0)
 
 
 def test_parse_config_overrides_and_types(tmp_path):

@@ -3,12 +3,10 @@ import pytest
 
 from crispdec.tensor import (
     Tensor,
-    _interp_indices,
-    _scatter_add,
+    _interp_matrix,
     bilinear_upsample,
     cat,
     conv2d,
-    finite_diff_grad,
     log_softmax,
     softmax,
 )
@@ -214,38 +212,51 @@ def test_bilinear_upsample_known_1d_values():
     np.testing.assert_allclose(y, [0.0, 0.25, 0.75, 1.0], atol=1e-12)
 
 
-@pytest.mark.parametrize("dtype", [np.float32, np.float64])
-def test_scatter_add_matches_add_at_bit_for_bit(dtype):
-    # the bilinear backward's scatter must sum in np.add.at's order, or
-    # training drifts from its pinned benchmark values
-    rng = np.random.default_rng(8)
-    for src, dst in [(2, 16), (16, 64), (3, 7), (1, 4), (5, 5)]:
-        for axis in (2, 3):
-            for index in _interp_indices(src, dst, dtype)[:2]:
-                shape = [2, 3, 4, 4]
-                shape[axis] = dst
-                vals = (rng.standard_normal(shape)
-                        * 10.0 ** rng.integers(-4, 4, shape)).astype(dtype)
-                vals[0, 0] = -0.0
-                out_shape = list(shape)
-                out_shape[axis] = src
-                base = rng.standard_normal(out_shape).astype(dtype)
-                for start in (np.zeros_like(base), base):
-                    want, got = start.copy(), start.copy()
-                    at = [slice(None)] * 4
-                    at[axis] = index
-                    np.add.at(want, tuple(at), vals)
-                    _scatter_add(got, axis, index, vals)
-                    assert got.tobytes() == want.tobytes(), (src, dst, axis)
+def _blend_reference(x, th, tw):
+    # the two-neighbour blend: gather the rows and columns either side of
+    # each half-pixel-centre sample point and mix them by its fraction
+    def axis(src, dst):
+        coords = np.clip((np.arange(dst) + 0.5) * (src / dst) - 0.5, 0.0, src - 1.0)
+        lo = np.floor(coords).astype(int)
+        return lo, np.minimum(lo + 1, src - 1), coords - lo
+    r0, r1, fr = axis(x.shape[2], th)
+    c0, c1, fc = axis(x.shape[3], tw)
+    fr, fc = fr[:, None], fc[None, :]
+    v = x[:, :, r0, :] * (1.0 - fr) + x[:, :, r1, :] * fr
+    return v[:, :, :, c0] * (1.0 - fc) + v[:, :, :, c1] * fc
 
 
-def test_finite_diff_matches_backward_for_quadratic():
-    rng = np.random.default_rng(6)
-    x = Tensor(rng.standard_normal((3, 3)), requires_grad=True)
-    f = lambda t: (t * t).sum()
-    f(x).backward()
-    fd = finite_diff_grad(f, x)
-    np.testing.assert_allclose(x.grad, fd, rtol=1e-6)
+UPSAMPLE_SIZES = [((1, 1), (4, 4)), ((2, 2), (16, 16)), ((3, 3), (7, 7)),
+                  ((16, 16), (64, 64)), ((3, 5), (7, 16))]
+
+
+@pytest.mark.parametrize("dtype,tol", [(np.float64, 1e-12), (np.float32, 1e-6)])
+@pytest.mark.parametrize("src,dst", UPSAMPLE_SIZES)
+def test_bilinear_upsample_matches_blend_reference(src, dst, dtype, tol):
+    x = np.random.default_rng(8).standard_normal((2, 3, *src)).astype(dtype)
+    got = bilinear_upsample(Tensor(x), *dst).data
+    np.testing.assert_allclose(got, _blend_reference(x, *dst), rtol=0, atol=tol)
+
+
+@pytest.mark.parametrize("src,dst", UPSAMPLE_SIZES)
+def test_bilinear_upsample_backward_is_adjoint(src, dst):
+    # <up(x), g> == <x, up^T(g)>: the backward applies the transpose map
+    rng = np.random.default_rng(9)
+    x = Tensor(rng.standard_normal((2, 3, *src)), requires_grad=True)
+    g = rng.standard_normal((2, 3, *dst))
+    y = bilinear_upsample(x, *dst)
+    (y * g).sum().backward()
+    np.testing.assert_allclose((y.data * g).sum(), (x.data * x.grad).sum(),
+                               rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("src,dst", [(1, 4), (2, 16), (3, 7), (16, 64), (5, 16), (4, 4)])
+def test_interp_matrix_rows_are_two_tap_partitions_of_unity(src, dst):
+    m = _interp_matrix(src, dst)
+    assert m.shape == (dst, src) and m.dtype == np.float64
+    np.testing.assert_allclose(m.sum(axis=1), 1.0, rtol=0, atol=1e-15)
+    assert ((m != 0).sum(axis=1) <= 2).all()
+    assert (m >= 0).all()
 
 
 def test_zero_grad_clears_and_backward_accumulates():
