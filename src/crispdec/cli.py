@@ -66,7 +66,7 @@ def cmd_gen(args) -> int:
 
 def cmd_train(args) -> int:
     from . import __version__
-    from .loop import TrainConfig, TrainingDiverged, parse_config, train
+    from .loop import RELABEL_LOG, TrainConfig, TrainingDiverged, parse_config, train
     from .model import ModelConfig, SegModel
     from .synthdata import load_dataset
 
@@ -109,6 +109,7 @@ def cmd_train(args) -> int:
         for key, val in vars(model_cfg).items():
             fh.write(f"model.{key}={val}\n")
         fh.write(f"checkpoint={ckpt_dir}\nlog={log_path}\n")
+        fh.write(f"relabel_log={os.path.join(args.out, RELABEL_LOG)}\n")
 
     model = SegModel(model_cfg)
     try:

@@ -17,10 +17,14 @@ from .fileio import IGNORE, read_fields
 from .losses import ALPHA, PseudoLabelSet, mix_uncertainty, total_loss
 from .model import SegModel
 from .synthdata import build_ignore_mask
-from .tensor import Tensor, bilinear_upsample, log_softmax, softmax
+from .tensor import Tensor, bilinear_upsample, log_softmax, no_grad, softmax
 
 LOG_COLUMNS = ["step", "l_total", "l_ce", "l_dice", "l_het", "l_bnd", "l_sdf",
                "mean_w", "valid_fraction"]
+# one row per relabel event, in a file of this name next to the step log
+RELABEL_LOG = "relabel_log.csv"
+RELABEL_COLUMNS = ["epoch", "kept_fraction", "held_classes", "changed_fraction",
+                   "acc_before", "acc_after"]
 
 
 class TrainingDiverged(RuntimeError):
@@ -56,6 +60,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.batch_size < 1 or self.epochs < 0:
             raise ValueError("need batch_size >= 1 and epochs >= 0")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not (self.lr_decoder > 0 and self.lr_encoder_scale >= 0
                 and self.weight_decay >= 0 and self.grad_clip >= 0):
             raise ValueError("need lr_decoder > 0 and lr_encoder_scale, weight_decay, "
@@ -74,8 +80,13 @@ class TrainConfig:
 
 def parse_config(path, base: TrainConfig | None = None) -> TrainConfig:
     """`base` (default TrainConfig()) with the values of a key=value file
-    (`fileio.read_fields`); unknown keys and bad values are rejected."""
-    return replace(base or TrainConfig(), **read_fields(path, TrainConfig))
+    (`fileio.read_fields`); unknown keys and bad values are rejected with
+    a ValueError that names the file."""
+    values = read_fields(path, TrainConfig)
+    try:
+        return replace(base or TrainConfig(), **values)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def anneal_q(epoch: int, cfg: TrainConfig) -> float:
@@ -128,6 +139,14 @@ def relabel(p_t: np.ndarray, u_t: np.ndarray, keep_fraction: float) -> PseudoLab
                           seed_uncertainty=u_t[None].copy())
 
 
+def unconfirmed_classes(p: np.ndarray) -> np.ndarray:
+    """The classes whose teacher argmax over p [N,K,H,W] keeps less than
+    1/K of the probability mass the teacher puts on them."""
+    k = p.shape[1]
+    hard = np.bincount(p.argmax(axis=1).reshape(-1), minlength=k)
+    return np.flatnonzero(hard < p.sum(axis=(0, 2, 3)) / k)
+
+
 def protect_classes(p: np.ndarray, u: np.ndarray,
                     labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Inputs for `relabel` that keep the teacher from erasing a class.
@@ -152,11 +171,8 @@ def protect_classes(p: np.ndarray, u: np.ndarray,
     n, k = p.shape[:2]
     if u.shape != (n, *p.shape[2:]) or labels.shape != u.shape:
         raise ValueError("probability/uncertainty/label shape mismatch")
-    cls = p.argmax(axis=1)
-    hard = np.bincount(cls.reshape(-1), minlength=k)
-    soft = p.sum(axis=(0, 2, 3))
-    held = np.isin(labels, np.flatnonzero(hard < soft / k))
-    cls = np.where(held, labels, cls).reshape(-1)
+    held = np.isin(labels, unconfirmed_classes(p))
+    cls = np.where(held, labels, p.argmax(axis=1)).reshape(-1)
     idx = np.lexsort((u.reshape(-1), cls))  # by class, then u; ties by index
     counts = np.bincount(cls, minlength=k)
     pos = np.empty(cls.size)
@@ -169,33 +185,54 @@ def protect_classes(p: np.ndarray, u: np.ndarray,
 
 
 def teacher_predict(model: SegModel, teacher: TeacherState,
-                    image: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Refined-logit probabilities and mixed normalized uncertainty of the
-    teacher on one image."""
+                    images: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Refined-logit probabilities p [N,K,H,W] and mixed normalized
+    uncertainty u [N,H,W] of the teacher on images [N,3,H,W]; the forward
+    pass records no autodiff graph."""
     student_state = model.state_dict()
     model.load_state_dict(teacher.params)
     try:
-        out = model.forward(image[None])
-        h, w = image.shape[1], image.shape[2]
-        zstar_up = bilinear_upsample(out.zstar, h, w)
-        p = softmax(zstar_up, axis=1)
-        u_up = None if out.u_ale is None else bilinear_upsample(out.u_ale, h, w)
-        u = mix_uncertainty(u_up, p, log_softmax(zstar_up, axis=1), ALPHA).u
+        with no_grad():
+            out = model.forward(images)
+            h, w = images.shape[2], images.shape[3]
+            zstar_up = bilinear_upsample(out.zstar, h, w)
+            p = softmax(zstar_up, axis=1)
+            u_up = None if out.u_ale is None else bilinear_upsample(out.u_ale, h, w)
+            u = mix_uncertainty(u_up, p, log_softmax(zstar_up, axis=1), ALPHA).u
     finally:
         model.load_state_dict(student_state)
-    return p.data[0], u.data[0, 0]
+    return p.data, u.data[:, 0]
+
+
+def _label_accuracy(labels: np.ndarray, gt: np.ndarray) -> float:
+    """Share of the non-IGNORE labels that equal the ground truth."""
+    return float((labels == gt)[labels != IGNORE].mean())
 
 
 def relabel_all(model: SegModel, teacher: TeacherState, data: list,
-                keep_fraction: float) -> None:
+                keep_fraction: float, batch_size: int = TrainConfig.batch_size) -> dict:
     """Replace every sample's label set with the teacher's, guarded by
-    `protect_classes`; the new sets carry the teacher's uncertainty."""
-    maps = [teacher_predict(model, teacher, s.image) for s in data]
-    u = np.stack([u for _, u in maps])
-    scores, order = protect_classes(np.stack([p for p, _ in maps]), u,
-                                    np.concatenate([s.seed.yhat for s in data]))
+    `protect_classes`; the new sets carry the teacher's uncertainty. The
+    teacher predicts `batch_size` images at a time (`train` passes its
+    batch size, so relabeling peaks no higher than a step). Returns what
+    changed, with label accuracies against `Sample.gt`: the
+    RELABEL_COLUMNS but the epoch."""
+    maps = [teacher_predict(model, teacher,
+                            np.stack([s.image for s in data[lo:lo + batch_size]]))
+            for lo in range(0, len(data), batch_size)]
+    p = np.concatenate([p for p, _ in maps])
+    u = np.concatenate([u for _, u in maps])
+    before = np.concatenate([s.seed.yhat for s in data])
+    scores, order = protect_classes(p, u, before)
     for s, sc, o, ui in zip(data, scores, order, u):
         s.seed = replace(relabel(sc, o, keep_fraction), seed_uncertainty=ui[None])
+    after = np.concatenate([s.seed.yhat for s in data])
+    gt = np.stack([s.gt for s in data])
+    return {"kept_fraction": float((after != IGNORE).mean()),
+            "held_classes": " ".join(str(c) for c in unconfirmed_classes(p)),
+            "changed_fraction": float((after != before).mean()),
+            "acc_before": _label_accuracy(before, gt),
+            "acc_after": _label_accuracy(after, gt)}
 
 
 class AdamW:
@@ -259,7 +296,8 @@ def train(cfg: TrainConfig, data: list, model: SegModel,
           log_path=None, checkpoint_dir=None) -> list[dict]:
     """Run the full loop over `data` (a list of synthdata Samples); returns
     per-step loss breakdowns. The samples' label sets are refreshed in place
-    when the EMA teacher relabels."""
+    when the EMA teacher relabels. With `log_path`, each step is a row of
+    that CSV and each relabel event a row of RELABEL_LOG beside it."""
     rng = np.random.default_rng(cfg.seed)
     params = model.params
     lr = {k: cfg.lr_decoder * (cfg.lr_encoder_scale if k.startswith("enc.") else 1.0)
@@ -274,20 +312,27 @@ def train(cfg: TrainConfig, data: list, model: SegModel,
     warmup_steps = cfg.warmup_epochs * steps_per_epoch
 
     logs: list[dict] = []
-    writer = None
-    log_fh = None
-    if log_path is not None:
-        log_fh = open(log_path, "w", newline="")
-        writer = csv.writer(log_fh)
-        writer.writerow(LOG_COLUMNS)
-
+    writer = relabel_writer = None
+    log_fh = relabel_fh = None
     step = 0
     relabeled = False
     try:
+        if log_path is not None:
+            log_fh = open(log_path, "w", newline="")
+            writer = csv.writer(log_fh)
+            writer.writerow(LOG_COLUMNS)
+            relabel_fh = open(os.path.join(os.path.dirname(log_path), RELABEL_LOG),
+                              "w", newline="")
+            relabel_writer = csv.writer(relabel_fh)
+            relabel_writer.writerow(RELABEL_COLUMNS)
+
         for epoch in range(cfg.epochs):
             if (teacher is not None and epoch > 0
                     and cfg.relabel_period > 0 and epoch % cfg.relabel_period == 0):
-                relabel_all(model, teacher, data, cfg.keep_fraction)
+                event = {"epoch": epoch, **relabel_all(model, teacher, data,
+                                                        cfg.keep_fraction, cfg.batch_size)}
+                if relabel_writer is not None:
+                    relabel_writer.writerow([event[c] for c in RELABEL_COLUMNS])
                 relabeled = True
 
             q = anneal_q(epoch, cfg)
@@ -332,8 +377,9 @@ def train(cfg: TrainConfig, data: list, model: SegModel,
                     writer.writerow([row["step"]] + [row[c] for c in LOG_COLUMNS[1:]])
                 step += 1
     finally:
-        if log_fh is not None:
-            log_fh.close()
+        for fh in (log_fh, relabel_fh):
+            if fh is not None:
+                fh.close()
 
     if checkpoint_dir is not None:
         model.save(checkpoint_dir)

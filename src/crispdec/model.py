@@ -10,7 +10,7 @@ import numpy as np
 from .decoder import DecoderParams, decoder_forward
 from .fileio import load_checkpoint, read_fields, save_checkpoint
 from .synthdata import init_encoder_params, toy_encoder_forward
-from .tensor import Tensor, bilinear_upsample, softmax
+from .tensor import Tensor, bilinear_upsample, no_grad, softmax
 
 
 @dataclass
@@ -31,6 +31,8 @@ class ModelConfig:
     def __post_init__(self):
         if self.num_classes < 2 or self.width < 1:
             raise ValueError("need num_classes >= 2 and width >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.dtype not in ("float32", "float64"):
             raise ValueError(f"dtype must be float32 or float64, got {self.dtype!r}")
         if self.use_udmf and not (self.use_dmf and self.use_var):
@@ -70,14 +72,14 @@ class SegModel:
 
     def predict(self, images: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Hard labels and max-softmax confidences at full resolution, from
-        the refined logits; no post-processing."""
+        the refined logits; no post-processing, and no autodiff graph."""
         arr = np.asarray(images)
         if arr.ndim == 3:
             arr = arr[None]
         h, w = arr.shape[2] , arr.shape[3]
-        out = self.forward(arr)
-        z_up = bilinear_upsample(out.zstar, h, w)
-        p = softmax(z_up, axis=1).data
+        with no_grad():
+            out = self.forward(arr)
+            p = softmax(bilinear_upsample(out.zstar, h, w), axis=1).data
         return p.argmax(axis=1), p.max(axis=1)
 
     def zero_grad(self):

@@ -44,6 +44,8 @@ class SceneSpec:
         top = max(_SHAPE_CLASS.values()) + 1  # background + the classes shapes draw
         if not 2 <= self.num_classes <= top:
             raise ValueError(f"num_classes must lie in [2, {top}]")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass

@@ -9,10 +9,13 @@ against central finite differences at tight tolerances.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+
 import numpy as np
 
 __all__ = [
     "Tensor",
+    "no_grad",
     "cat",
     "conv2d",
     "bilinear_upsample",
@@ -42,6 +45,7 @@ class Tensor:
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
+    _recording = True  # off inside `no_grad`
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         arr = np.asarray(data, dtype=dtype)
@@ -58,7 +62,7 @@ class Tensor:
     @classmethod
     def _from_op(cls, data, parents, backward):
         out = cls(data)
-        out.requires_grad = any(p.requires_grad for p in parents)
+        out.requires_grad = cls._recording and any(p.requires_grad for p in parents)
         if out.requires_grad:
             out._parents = tuple(parents)
             out._backward = backward
@@ -333,6 +337,18 @@ class Tensor:
 
     def min(self, axis=None, keepdims: bool = False):
         return self._extreme(axis, keepdims, np.min)
+
+
+@contextmanager
+def no_grad():
+    """Inside this block ops record no parents and no backward closure, so
+    a forward-only pass keeps no graph; the values are the same."""
+    prev = Tensor._recording
+    Tensor._recording = False
+    try:
+        yield
+    finally:
+        Tensor._recording = prev
 
 
 # -- structural ops ------------------------------------------------------------------

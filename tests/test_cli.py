@@ -6,6 +6,7 @@ import pytest
 
 from crispdec.cli import EXIT_CHECK, EXIT_DATA, EXIT_OK, EXIT_USAGE, main
 from crispdec.fileio import read_ctsr, write_pgm
+from crispdec.loop import RELABEL_COLUMNS
 
 
 def run_gen(out, n=3, seed=0, extra=()):
@@ -40,8 +41,9 @@ def test_gen_refuses_nonempty_without_force(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("extra", [("--n", "0"), ("--n", "-2"), ("--classes", "5"),
-                                   ("--classes", "6"), ("--height", "60")],
-                         ids=["n0", "n-neg", "classes5", "classes6", "height"])
+                                   ("--classes", "6"), ("--height", "60"),
+                                   ("--seed", "-1")],
+                         ids=["n0", "n-neg", "classes5", "classes6", "height", "seed-neg"])
 def test_gen_rejects_bad_flags(tmp_path, capsys, extra):
     code = main(["gen", "--out", str(tmp_path / "d"), *extra])
     assert code == EXIT_USAGE
@@ -71,6 +73,9 @@ def test_train_writes_artifacts(trained):
     assert "components=dmf+var+ugr+bnd+udmf+ema" in manifest
     assert "dataset_hash=" in manifest
     assert "train.epochs=1" in manifest
+    assert f"relabel_log={run / 'relabel_log.csv'}" in manifest.splitlines()
+    with open(run / "relabel_log.csv") as fh:  # one epoch: no relabel event
+        assert fh.read().splitlines() == [",".join(RELABEL_COLUMNS)]
 
 
 def test_train_rejects_inconsistent_ablations(tmp_path, trained, capsys):
@@ -84,8 +89,10 @@ def test_train_rejects_inconsistent_ablations(tmp_path, trained, capsys):
 
 
 @pytest.mark.parametrize("extra", [("--batch-size", "0"), ("--batch-size", "-8"),
-                                   ("--epochs", "-1"), ("--lr", "0"), ("--lr", "-1")],
-                         ids=["batch0", "batch-neg", "epochs-neg", "lr0", "lr-neg"])
+                                   ("--epochs", "-1"), ("--lr", "0"), ("--lr", "-1"),
+                                   ("--seed", "-1")],
+                         ids=["batch0", "batch-neg", "epochs-neg", "lr0", "lr-neg",
+                              "seed-neg"])
 def test_train_rejects_bad_schedule_flags(tmp_path, trained, capsys, extra):
     data, _ = trained
     out = tmp_path / "r"
@@ -99,14 +106,15 @@ def test_train_rejects_bad_schedule_flags(tmp_path, trained, capsys, extra):
                                   "lr_encoder_scale=-0.1", "weight_decay=-1e-4",
                                   "grad_clip=-1", "warmup_epochs=-1",
                                   "q_anneal_epochs=-1", "relabel_period=-1",
-                                  "detach_p_epochs=-1"])
-def test_train_rejects_bad_schedule_config(tmp_path, trained, line):
+                                  "detach_p_epochs=-1", "seed=-3"])
+def test_train_rejects_bad_schedule_config(tmp_path, trained, capsys, line):
     data, _ = trained
     cfg = tmp_path / "cfg.txt"
     cfg.write_text(line + "\n")
     code = main(["train", "--data", str(data), "--out", str(tmp_path / "r"),
                  "--config", str(cfg)])
     assert code == EXIT_DATA
+    assert capsys.readouterr().err.startswith(f"data error: {cfg}: ")
 
 
 def test_train_rejects_unknown_config_key(tmp_path, trained):
@@ -218,8 +226,9 @@ def copy_checkpoint(run, dest, edit):
     lambda t: t.replace("dtype=float32", "dtype=float16"),
     lambda t: t.replace("seed=0\n", ""),                 # missing key
     lambda t: t + "seed=1\n",                            # repeated key
+    lambda t: t.replace("seed=0\n", "seed=-1\n"),
 ], ids=["unknown", "boundary_tap", "bool", "no-equals", "int", "dtype",
-        "missing", "repeated"])
+        "missing", "repeated", "seed-neg"])
 def test_eval_rejects_bad_model_config(tmp_path, trained, capsys, edit):
     data, run = trained
     ckpt = copy_checkpoint(run, tmp_path / "ckpt", edit)

@@ -1,4 +1,6 @@
+import csv
 import math
+import os
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ from crispdec import loop
 from crispdec.fileio import IGNORE
 from crispdec.loop import (
     LOG_COLUMNS,
+    RELABEL_COLUMNS,
     AdamW,
     TeacherState,
     TrainConfig,
@@ -282,9 +285,90 @@ def test_relabel_all_stores_the_teacher_uncertainty():
     data = tiny_data(2)
     teacher = TeacherState({k: v.copy() for k, v in model.state_dict().items()})
     relabel_all(model, teacher, data, 0.9)
-    for s in data:
-        _, u = teacher_predict(model, teacher, s.image)
-        np.testing.assert_array_equal(s.seed.seed_uncertainty[0], u)
+    _, u = teacher_predict(model, teacher, np.stack([s.image for s in data]))
+    for s, u_i in zip(data, u):
+        np.testing.assert_array_equal(s.seed.seed_uncertainty[0], u_i)
+
+
+@pytest.mark.parametrize("dtype, atol", [("float64", 1e-12), ("float32", 1e-6)])
+def test_teacher_predict_batch_equals_per_image_calls(dtype, atol):
+    """Equal to rounding only: on the 4x4 and 2x2 encoder maps the einsum
+    of `conv2d` hands BLAS another layout for one image than for several,
+    which sums in another order (about 1e-15 in float64, 1e-7 in float32)."""
+    model = tiny_model(seed=4, dtype=dtype)
+    teacher = TeacherState(tiny_model(seed=5, dtype=dtype).state_dict())
+    images = np.stack([s.image for s in tiny_data(3)])
+    p, u = teacher_predict(model, teacher, images)
+    assert p.shape == (3, 4, 64, 64) and u.shape == (3, 64, 64)
+    for i in range(3):
+        p_i, u_i = teacher_predict(model, teacher, images[i:i + 1])
+        np.testing.assert_allclose(p[i], p_i[0], rtol=0, atol=atol)
+        np.testing.assert_allclose(u[i], u_i[0], rtol=0, atol=atol)
+
+
+def test_relabel_all_does_not_depend_on_the_batch_size():
+    model = tiny_model(seed=1)
+    teacher = TeacherState(tiny_model(seed=6).state_dict())
+    runs = []
+    for batch_size in (1, 3, 16):  # 3: a chunk of 3, then the remaining 2
+        data = tiny_data(5)
+        row = relabel_all(model, teacher, data, 0.9, batch_size=batch_size)
+        runs.append((row, [s.seed for s in data]))
+    for row, seeds in runs[1:]:
+        assert row == runs[0][0]
+        for a, b in zip(seeds, runs[0][1]):
+            np.testing.assert_array_equal(a.yhat, b.yhat)
+            np.testing.assert_array_equal(a.valid, b.valid)
+            np.testing.assert_allclose(a.seed_uncertainty, b.seed_uncertainty,
+                                       rtol=0, atol=1e-12)
+
+
+def test_relabel_all_reports_what_changed():
+    model = tiny_model(seed=1)
+    teacher = TeacherState(tiny_model(seed=6).state_dict())
+    data = tiny_data(3)
+    before = np.concatenate([s.seed.yhat for s in data])
+    row = relabel_all(model, teacher, data, 0.8, batch_size=2)
+    after = np.concatenate([s.seed.yhat for s in data])
+    gt = np.stack([s.gt for s in data])
+    assert set(row) == set(RELABEL_COLUMNS) - {"epoch"}
+    assert row["kept_fraction"] == np.ceil(0.8 * 64 * 64) / (64 * 64)
+    assert row["changed_fraction"] == (after != before).mean() > 0
+    for key, y in (("acc_before", before), ("acc_after", after)):
+        kept = y != IGNORE
+        assert row[key] == (y[kept] == gt[kept]).sum() / kept.sum()
+    held = row["held_classes"].split()
+    assert all(c.isdigit() and int(c) < 4 for c in held)
+
+
+def test_relabel_log_leaves_the_training_bytes_alone(tmp_path):
+    cfg = TrainConfig(epochs=3, batch_size=3, lr_decoder=1e-3, seed=0,
+                      relabel_period=1)
+    (tmp_path / "a").mkdir()
+    logged = train(cfg, tiny_data(4), tiny_model(),
+                   log_path=tmp_path / "a" / "train_log.csv",
+                   checkpoint_dir=tmp_path / "a" / "ckpt")
+    plain = train(cfg, tiny_data(4), tiny_model(), checkpoint_dir=tmp_path / "b" / "ckpt")
+    assert logged == plain
+    files = sorted(os.listdir(tmp_path / "a" / "ckpt"))
+    assert files == sorted(os.listdir(tmp_path / "b" / "ckpt"))
+    for f in files:
+        assert ((tmp_path / "a" / "ckpt" / f).read_bytes()
+                == (tmp_path / "b" / "ckpt" / f).read_bytes())
+    # the step log of the logged run, byte for byte, from the plain run's rows
+    with open(tmp_path / "b" / "train_log.csv", "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(LOG_COLUMNS)
+        for row in plain:
+            writer.writerow([row[c] for c in LOG_COLUMNS])
+    assert ((tmp_path / "a" / "train_log.csv").read_bytes()
+            == (tmp_path / "b" / "train_log.csv").read_bytes())
+    with open(tmp_path / "a" / "relabel_log.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == RELABEL_COLUMNS
+    assert [r[0] for r in rows[1:]] == ["1", "2"]  # one row per relabel event
+    for r in rows[1:]:
+        assert 0.0 <= float(r[4]) <= 1.0 and 0.0 <= float(r[5]) <= 1.0
 
 
 def test_protect_classes_validates_inputs():
@@ -422,7 +506,8 @@ def test_teacher_predict_without_variance_head_is_normalized_entropy():
     model = tiny_model(seed=3, use_var=False, use_ugr=False, use_udmf=False)
     teacher = TeacherState(model.state_dict())
     img = tiny_data(1)[0].image
-    p, u = teacher_predict(model, teacher, img)
+    p, u = teacher_predict(model, teacher, img[None])
+    p, u = p[0], u[0]
     ent = -(p * np.log(p)).sum(axis=0)
     want = (ent - ent.min()) / (ent.max() - ent.min() + 1e-12)
     np.testing.assert_allclose(u, want, rtol=0, atol=1e-12)
@@ -435,7 +520,8 @@ def test_teacher_predict_restores_student_state():
                             for k, v in model.state_dict().items()})
     before = model.state_dict()
     img = tiny_data(1)[0].image
-    p, u = teacher_predict(model, teacher, img)
+    p, u = teacher_predict(model, teacher, img[None])
+    p, u = p[0], u[0]
     after = model.state_dict()
     for k in before:
         np.testing.assert_array_equal(before[k], after[k])

@@ -8,6 +8,7 @@ from crispdec.tensor import (
     cat,
     conv2d,
     log_softmax,
+    no_grad,
     softmax,
 )
 
@@ -272,3 +273,37 @@ def test_float32_data_stays_float32():
     x = Tensor(np.ones((2, 2), dtype=np.float32), requires_grad=True)
     y = (x * 2.0).relu()
     assert y.data.dtype == np.float32
+
+
+def _small_forward(x, k):
+    y = conv2d(x, k, padding=1)
+    z = bilinear_upsample(y.relu(), 16, 16)
+    return log_softmax(z, axis=1) * 2.0 + (y * y).sum()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_no_grad_records_no_graph_and_keeps_values(dtype):
+    rng = np.random.default_rng(0)
+    x = Tensor(rng.standard_normal((2, 3, 8, 8)).astype(dtype), requires_grad=True)
+    k = Tensor(rng.standard_normal((4, 3, 3, 3)).astype(dtype), requires_grad=True)
+    tracked = _small_forward(x, k)
+    with no_grad():
+        free = _small_forward(x, k)
+        assert not (x * k.sum()).requires_grad
+    assert tracked.requires_grad and tracked._parents
+    assert not free.requires_grad
+    assert free._parents == () and free._backward is None
+    np.testing.assert_array_equal(free.data, tracked.data)
+    assert free.data.dtype == tracked.data.dtype
+
+
+def test_no_grad_restores_recording_after_an_exception():
+    x = Tensor(np.ones(3), requires_grad=True)
+    with pytest.raises(RuntimeError):
+        with no_grad():
+            with no_grad():
+                pass
+            assert not (x * 2.0).requires_grad  # the inner block leaves it off
+            raise RuntimeError("inside")
+    y = x * 2.0
+    assert y.requires_grad and y._parents[0] is x
