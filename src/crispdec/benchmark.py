@@ -57,10 +57,8 @@ def benchmark_train_config(seed: int = 0) -> TrainConfig:
     """Desk-scale schedule tuned once for the frozen benchmark; the paper's
     full-scale learning rate is far too slow for a toy encoder trained from
     scratch."""
-    return TrainConfig(epochs=13, batch_size=16, lr_decoder=6e-3,
-                       lr_encoder_scale=0.1, q_anneal_epochs=6,
-                       relabel_period=9, keep_fraction=0.95,
-                       detach_p_epochs=2, warmup_epochs=1,
+    return TrainConfig(epochs=13, batch_size=16, lr_decoder=6e-3, q_anneal_epochs=6,
+                       relabel_period=9, keep_fraction=0.95, detach_p_epochs=2,
                        ema_tau=0.98, use_sdf=False, seed=seed)
 
 
@@ -97,12 +95,10 @@ def evaluate_model(model: SegModel, eval_data: list, k: int,
     return mean_scores(scores)
 
 
-def run_level(level: str, seed: int, train_data: list, eval_data: list,
-              cfg: TrainConfig | None = None, dtype: str = "float32") -> dict:
-    cfg = cfg or benchmark_train_config(seed)
-    model_cfg = ModelConfig(seed=seed, dtype=dtype, **LEVELS[level])
+def run_level(level: str, seed: int, train_data: list, eval_data: list) -> dict:
+    model_cfg = ModelConfig(seed=seed, dtype="float32", **LEVELS[level])
     model = SegModel(model_cfg)
-    train(cfg, _copy_samples(train_data), model)
+    train(benchmark_train_config(seed), _copy_samples(train_data), model)
     scores = evaluate_model(model, eval_data, model_cfg.num_classes)
     scores.update(level=level, seed=seed)
     return scores
@@ -130,7 +126,7 @@ def _init_worker(train_data: list, eval_data: list) -> None:
 
 def _run_task(task: tuple) -> dict:
     level, seed = task
-    return run_level(level, seed, *_worker_data, benchmark_train_config(seed))
+    return run_level(level, seed, *_worker_data)
 
 
 @contextlib.contextmanager

@@ -26,6 +26,14 @@ class DataError(Exception):
     pass
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad command line as a UsageError (exit 1) instead of
+    exiting 2, the data-error code; subparsers share the class."""
+
+    def error(self, message):
+        raise UsageError(message)
+
+
 def _dataset_hash(data_dir) -> str:
     manifest = os.path.join(data_dir, "manifest.txt")
     if not os.path.exists(manifest):
@@ -55,7 +63,7 @@ def cmd_gen(args) -> int:
                                flip_prob=args.flip_prob)
     except ValueError as exc:
         raise UsageError(exc) from exc
-    samples = make_dataset(args.n, spec, cspec, q_percent=args.q_start)
+    samples = make_dataset(args.n, spec, cspec)
     ds_hash = export_dataset(out, samples)
     fg = [float((s.gt > 0).mean()) for s in samples]
     print(f"wrote {len(samples)} scenes to {out}")
@@ -153,6 +161,8 @@ def cmd_eval(args) -> int:
 def cmd_gradcheck(args) -> int:
     from .gradcheck import REL_TOL, run_all
 
+    if args.seed < 0:
+        raise UsageError(f"seed must be >= 0, got {args.seed}")
     results = run_all(seed=args.seed)
     failed = 0
     for r in results:
@@ -178,8 +188,7 @@ def cmd_metrics(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="crispdec", description=__doc__, allow_abbrev=False)
+    parser = _Parser(prog="crispdec", description=__doc__, allow_abbrev=False)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="generate a synthetic benchmark dataset")
@@ -189,7 +198,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--height", type=int, default=64)
     p.add_argument("--width", type=int, default=64)
     p.add_argument("--classes", type=int, default=4)
-    p.add_argument("--q-start", type=float, default=30.0)
     p.add_argument("--erode-px", type=int, default=2)
     p.add_argument("--dilate-px", type=int, default=2)
     p.add_argument("--blob-smooth-iters", type=int, default=2)

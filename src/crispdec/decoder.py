@@ -137,7 +137,7 @@ def project_and_upsample(pyramid: FeaturePyramid, params: DecoderParams) -> list
     _, _, h4, w4 = pyramid.c1.shape
     out = []
     for i, c in enumerate(pyramid.maps(), start=1):
-        x = conv2d(c, params[f"proj{i}.w"], params[f"proj{i}.b"].reshape(1, -1, 1, 1))
+        x = conv2d(c, params[f"proj{i}.w"], params[f"proj{i}.b"])
         x = channel_norm(x, params[f"norm{i}.gamma"], params[f"norm{i}.beta"]).relu()
         if x.shape[2:] != (h4, w4):
             x = bilinear_upsample(x, h4, w4)
@@ -154,7 +154,7 @@ def dmf_fuse(e_list: list[Tensor], params: DecoderParams,
         raise ValueError("u_down must be at 1/4 resolution")
     scores = []
     for i, ei in enumerate(e_list, start=1):
-        s = conv2d(ei, params[f"score{i}.w"], params[f"score{i}.b"].reshape(1, 1, 1, 1))
+        s = conv2d(ei, params[f"score{i}.w"], params[f"score{i}.b"])
         if u_down is not None:
             s = s - u_down
         scores.append(s)
@@ -168,11 +168,11 @@ def dmf_fuse(e_list: list[Tensor], params: DecoderParams,
 def static_fuse(e_list: list[Tensor], params: DecoderParams) -> Tensor:
     """Concat + single 1x1 conv baseline fusion (location-agnostic)."""
     x = cat(e_list, axis=1)
-    return conv2d(x, params["fuse.w"], params["fuse.b"].reshape(1, -1, 1, 1))
+    return conv2d(x, params["fuse.w"], params["fuse.b"])
 
 
 def variance_branch(fused: Tensor, params: DecoderParams) -> tuple[Tensor, Tensor]:
-    raw = conv2d(fused, params["var.w"], params["var.b"].reshape(1, -1, 1, 1))
+    raw = conv2d(fused, params["var.w"], params["var.b"])
     sigma2 = raw.softplus() + VAR_EPS
     u_ale = sigma2.mean(axis=1, keepdims=True)
     return sigma2, u_ale
@@ -185,20 +185,17 @@ def ugr_refine(fused: Tensor, z: Tensor, u_ale: Tensor, params: DecoderParams,
     if detach_p:
         p = p.detach()
     r = cat([fused, p, u_ale], axis=1)
-    hidden = conv2d(r, params["phi1.w"], params["phi1.b"].reshape(1, -1, 1, 1),
-                    padding=1).relu()
-    delta = conv2d(hidden, params["phi2.w"], params["phi2.b"].reshape(1, -1, 1, 1))
+    hidden = conv2d(r, params["phi1.w"], params["phi1.b"], padding=1).relu()
+    delta = conv2d(hidden, params["phi2.w"], params["phi2.b"])
     gate_in = cat([fused, u_ale], axis=1)
-    gate = conv2d(gate_in, params["gate.w"],
-                  params["gate.b"].reshape(1, 1, 1, 1)).sigmoid()
+    gate = conv2d(gate_in, params["gate.w"], params["gate.b"]).sigmoid()
     zstar = z + gate * delta
     return zstar, gate, delta
 
 
 def boundary_branch(tap: Tensor, params: DecoderParams) -> Tensor:
-    hidden = conv2d(tap, params["bnd1.w"], params["bnd1.b"].reshape(1, -1, 1, 1),
-                    padding=1).relu()
-    return conv2d(hidden, params["bnd2.w"], params["bnd2.b"].reshape(1, 1, 1, 1))
+    hidden = conv2d(tap, params["bnd1.w"], params["bnd1.b"], padding=1).relu()
+    return conv2d(hidden, params["bnd2.w"], params["bnd2.b"])
 
 
 def decoder_forward(pyramid: FeaturePyramid, params: DecoderParams,
@@ -222,7 +219,7 @@ def decoder_forward(pyramid: FeaturePyramid, params: DecoderParams,
     else:
         fused, weights = dmf_fuse(e_list, params)
 
-    z = conv2d(fused, params["seg.w"], params["seg.b"].reshape(1, -1, 1, 1))
+    z = conv2d(fused, params["seg.w"], params["seg.b"])
 
     sigma2 = u_ale = None
     if cfg.use_var:

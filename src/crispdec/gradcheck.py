@@ -122,20 +122,16 @@ def _primitive_checks(rng) -> list[CheckResult]:
     k1 = _rand(rng, 4, 3, 1, 1)
     b1 = _rand(rng, 4)
     out.append(_check("conv2d_1x1",
-                      lambda t, kk, bb: (conv2d(t, kk, bb.reshape(1, -1, 1, 1))
-                                         * 0.3).sum(),
+                      lambda t, kk, bb: (conv2d(t, kk, bb) * 0.3).sum(),
                       [x, k1, b1]))
     k3 = _rand(rng, 4, 3, 3, 3)
     sq = Tensor(rng.standard_normal((2, 4, 5, 5)))
     out.append(_check("conv2d_3x3",
-                      lambda t, kk, bb: (conv2d(t, kk, bb.reshape(1, -1, 1, 1),
-                                                padding=1) * sq.data).sum(),
+                      lambda t, kk, bb: (conv2d(t, kk, bb, padding=1) * sq.data).sum(),
                       [x, k3, b1]))
     out.append(_check("conv2d_3x3_stride2",
-                      lambda t, kk, bb: (conv2d(t, kk, bb.reshape(1, -1, 1, 1),
-                                                padding=1, stride=2)
-                                         * conv2d(t, kk, bb.reshape(1, -1, 1, 1),
-                                                  padding=1, stride=2)).sum(),
+                      lambda t, kk, bb: (conv2d(t, kk, bb, padding=1, stride=2)
+                                         * conv2d(t, kk, bb, padding=1, stride=2)).sum(),
                       [x, k3, b1]))
     up_w = Tensor(rng.standard_normal((1, 2, 6, 8)))
     u = _rand(rng, 1, 2, 3, 4)

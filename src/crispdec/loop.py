@@ -37,24 +37,30 @@ class TrainingDiverged(RuntimeError):
         self.breakdown = breakdown
 
 
+# the schedule's fixed parts: the encoder learns at LR_ENCODER_SCALE times
+# the decoder's rate, the seed filter masks the Q_START% most uncertain
+# pixels at epoch 0 and Q_END% from q_anneal_epochs on, the learning rate
+# warms up over WARMUP_EPOCHS, gradients clip to a global norm of GRAD_CLIP,
+# and each image is flipped left-right with probability 1/2
+LR_ENCODER_SCALE = 0.1
+WEIGHT_DECAY = 1e-4
+Q_START = 30.0
+Q_END = 15.0
+WARMUP_EPOCHS = 1
+GRAD_CLIP = 5.0
+
+
 @dataclass
 class TrainConfig:
     epochs: int = 10
     batch_size: int = 8
     lr_decoder: float = 6e-5
-    lr_encoder_scale: float = 0.1
-    weight_decay: float = 1e-4
-    q_start: float = 30.0
-    q_end: float = 15.0
     q_anneal_epochs: int = 10
     ema_tau: float = 0.999
     relabel_period: int = 3
     keep_fraction: float = 0.8
     detach_p_epochs: int = 3
-    warmup_epochs: int = 1
-    grad_clip: float = 5.0
     seed: int = 0
-    flip_augment: bool = True
     use_sdf: bool = True   # the surface-distance term is optional
 
     def __post_init__(self):
@@ -62,16 +68,10 @@ class TrainConfig:
             raise ValueError("need batch_size >= 1 and epochs >= 0")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
-        if not (self.lr_decoder > 0 and self.lr_encoder_scale >= 0
-                and self.weight_decay >= 0 and self.grad_clip >= 0):
-            raise ValueError("need lr_decoder > 0 and lr_encoder_scale, weight_decay, "
-                             "grad_clip >= 0")
-        if min(self.q_anneal_epochs, self.relabel_period, self.detach_p_epochs,
-               self.warmup_epochs) < 0:
-            raise ValueError("need q_anneal_epochs, relabel_period, detach_p_epochs, "
-                             "warmup_epochs >= 0")
-        if not (0 <= self.q_end <= self.q_start < 100):
-            raise ValueError("need 0 <= q_end <= q_start < 100")
+        if not self.lr_decoder > 0:
+            raise ValueError("need lr_decoder > 0")
+        if min(self.q_anneal_epochs, self.relabel_period, self.detach_p_epochs) < 0:
+            raise ValueError("need q_anneal_epochs, relabel_period, detach_p_epochs >= 0")
         if not (0 < self.ema_tau < 1):
             raise ValueError("ema_tau must lie in (0,1)")
         if not (0 < self.keep_fraction < 1):
@@ -90,13 +90,13 @@ def parse_config(path, base: TrainConfig | None = None) -> TrainConfig:
 
 
 def anneal_q(epoch: int, cfg: TrainConfig) -> float:
-    """Linear from q_start at epoch 0 to q_end at q_anneal_epochs, then flat."""
+    """Linear from Q_START at epoch 0 to Q_END at q_anneal_epochs, then flat."""
     if epoch < 0:
         raise ValueError("epoch must be >= 0")
     if epoch >= cfg.q_anneal_epochs:
-        return cfg.q_end
+        return Q_END
     frac = epoch / cfg.q_anneal_epochs
-    return cfg.q_start + (cfg.q_end - cfg.q_start) * frac
+    return Q_START + (Q_END - Q_START) * frac
 
 
 @dataclass
@@ -277,14 +277,14 @@ def _lr_factor(step: int, warmup_steps: int, total_steps: int) -> float:
 
 
 def _clip_grads(params: dict[str, Tensor], max_norm: float) -> float:
-    """Scale the gradients down to a global L2 norm of at most `max_norm`
-    (0: no clipping); returns the norm before clipping."""
+    """Scale the gradients down to a global L2 norm of at most `max_norm`;
+    returns the norm before clipping."""
     total = 0.0
     for p in params.values():
         if p.grad is not None:
             total += float((p.grad ** 2).sum())
     norm = math.sqrt(total)
-    if norm > max_norm > 0:
+    if norm > max_norm:
         scale = max_norm / norm
         for p in params.values():
             if p.grad is not None:
@@ -300,16 +300,16 @@ def train(cfg: TrainConfig, data: list, model: SegModel,
     that CSV and each relabel event a row of RELABEL_LOG beside it."""
     rng = np.random.default_rng(cfg.seed)
     params = model.params
-    lr = {k: cfg.lr_decoder * (cfg.lr_encoder_scale if k.startswith("enc.") else 1.0)
+    lr = {k: cfg.lr_decoder * (LR_ENCODER_SCALE if k.startswith("enc.") else 1.0)
           for k in params}
-    opt = AdamW(params, lr, weight_decay=cfg.weight_decay)
+    opt = AdamW(params, lr, weight_decay=WEIGHT_DECAY)
     teacher = TeacherState({k: v.copy() for k, v in model.state_dict().items()}) \
         if model.cfg.use_ema else None
 
     n = len(data)
     steps_per_epoch = max(1, math.ceil(n / cfg.batch_size))
     total_steps = cfg.epochs * steps_per_epoch
-    warmup_steps = cfg.warmup_epochs * steps_per_epoch
+    warmup_steps = WARMUP_EPOCHS * steps_per_epoch
 
     logs: list[dict] = []
     writer = relabel_writer = None
@@ -343,19 +343,14 @@ def train(cfg: TrainConfig, data: list, model: SegModel,
                 images = np.stack([s.image for s in batch])
                 yhat = np.concatenate([s.seed.yhat for s in batch])
                 unc = np.concatenate([s.seed.seed_uncertainty for s in batch])
-                valid = np.concatenate([s.seed.valid for s in batch])
-                if cfg.flip_augment:
-                    flips = rng.random(len(batch)) < 0.5
-                    images[flips] = images[flips, :, :, ::-1]
-                    yhat[flips] = yhat[flips, :, ::-1]
-                    unc[flips] = unc[flips, :, ::-1]
-                    valid[flips] = valid[flips, :, ::-1]
-                # relabeling rewrites the label set *and* its validity mask;
-                # the seed-stage quantile filter applies only before that
-                if relabeled:
-                    m = valid.astype(np.uint8)
-                else:
-                    m = build_ignore_mask(unc, q) & (yhat != IGNORE)
+                flips = rng.random(len(batch)) < 0.5
+                images[flips] = images[flips, :, :, ::-1]
+                yhat[flips] = yhat[flips, :, ::-1]
+                unc[flips] = unc[flips, :, ::-1]
+                m = yhat != IGNORE
+                # the seed-stage quantile filter applies only before relabeling
+                if not relabeled:
+                    m = build_ignore_mask(unc, q) & m
                 labels = PseudoLabelSet(yhat=yhat, valid=m, seed_uncertainty=unc)
 
                 outputs = model.forward(images, detach_p=detach_p)
@@ -364,7 +359,7 @@ def train(cfg: TrainConfig, data: list, model: SegModel,
                     raise TrainingDiverged(step, breakdown)
                 model.zero_grad()
                 loss.backward()
-                grad_norm = _clip_grads(params, cfg.grad_clip)
+                grad_norm = _clip_grads(params, GRAD_CLIP)
                 if not math.isfinite(grad_norm):
                     raise TrainingDiverged(step, {**breakdown, "grad_norm": grad_norm})
                 opt.step(_lr_factor(step, warmup_steps, total_steps))

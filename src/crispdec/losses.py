@@ -21,8 +21,7 @@ from .tensor import Tensor, bilinear_upsample, log_softmax, softmax
 DICE_SMOOTH = 1.0
 _MINMAX_TINY = 1e-12
 
-# coefficients of the weighted sum in total_loss (CE has weight 1)
-LAMBDA_DICE = 1.0
+# coefficients of the weighted sum in total_loss (CE and Dice have weight 1)
 LAMBDA_HET = 0.5
 LAMBDA_BND = 0.5
 LAMBDA_SDF = 0.1
@@ -90,8 +89,7 @@ def masked_ce(logp: Tensor, labels: PseudoLabelSet, w=None) -> Tensor:
     nll = -(oh * logp).sum(axis=1, keepdims=True)
     if w is not None:
         nll = w * nll
-    vm = Tensor(labels.valid[:, None].astype(np.float64))
-    return (nll * vm).sum() / n_valid
+    return nll.sum() / n_valid  # the one-hot is zero off the valid mask
 
 
 def masked_dice(p: Tensor, labels: PseudoLabelSet, w=None) -> Tensor:
@@ -227,7 +225,7 @@ def total_loss(outputs, labels: PseudoLabelSet, use_sdf: bool) -> tuple[Tensor, 
 
     l_ce = masked_ce(logp, labels, wmap)
     l_dice = masked_dice(p, labels, wmap)
-    total = l_ce + LAMBDA_DICE * l_dice
+    total = l_ce + l_dice
 
     l_het = Tensor(0.0)
     if outputs.sigma2 is not None:

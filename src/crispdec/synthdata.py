@@ -162,9 +162,9 @@ def build_ignore_mask(seed_uncertainty: np.ndarray, q_percent: float) -> np.ndar
 
 
 def corrupt_to_seed(gt: np.ndarray, cspec: CorruptionSpec,
-                    rng: np.random.Generator, q_percent: float = 30.0) -> PseudoLabelSet:
-    """Degrade a ground-truth map into a plausible weak seed. gt itself is
-    never modified."""
+                    rng: np.random.Generator) -> PseudoLabelSet:
+    """Degrade a ground-truth map into a plausible weak seed, valid wherever
+    it carries a label. gt itself is never modified."""
     gt = np.asarray(gt)
     seed = gt.copy()
     h, w = gt.shape
@@ -212,9 +212,7 @@ def corrupt_to_seed(gt: np.ndarray, cspec: CorruptionSpec,
     u = 1.0 / (1.0 + dist) + 0.15 * rng.random((h, w))
     u = (u - u.min()) / max(u.max() - u.min(), 1e-12)
 
-    m = build_ignore_mask(u, q_percent)
-    m = m & (seed != IGNORE)
-    return PseudoLabelSet(yhat=seed[None].astype(np.int64), valid=m[None],
+    return PseudoLabelSet(yhat=seed[None].astype(np.int64), valid=seed[None] != IGNORE,
                           seed_uncertainty=u[None])
 
 
@@ -243,8 +241,8 @@ def toy_encoder_forward(image: Tensor, params: dict) -> FeaturePyramid:
     x = image
     taps = []
     for i in range(5):
-        x = conv2d(x, params[f"conv{i}.w"], params[f"conv{i}.b"].reshape(1, -1, 1, 1),
-                   padding=1, stride=2).relu()
+        x = conv2d(x, params[f"conv{i}.w"], params[f"conv{i}.b"], padding=1,
+                   stride=2).relu()
         if i >= 1:
             taps.append(x)
     return FeaturePyramid(*taps)
@@ -260,15 +258,12 @@ class Sample:
     seed: PseudoLabelSet          # single-image (leading dim 1)
 
 
-def make_dataset(n: int, spec: SceneSpec, cspec: CorruptionSpec,
-                 q_percent: float = 30.0, corrupt_seed: int | None = None) -> list:
-    rng = np.random.default_rng([spec.seed if corrupt_seed is None else corrupt_seed,
-                                 0xC0FFEE])
+def make_dataset(n: int, spec: SceneSpec, cspec: CorruptionSpec) -> list:
+    rng = np.random.default_rng([spec.seed, 0xC0FFEE])
     out = []
     for i in range(n):
         image, gt = generate_scene(spec, i)
-        out.append(Sample(image=image, gt=gt,
-                          seed=corrupt_to_seed(gt, cspec, rng, q_percent)))
+        out.append(Sample(image=image, gt=gt, seed=corrupt_to_seed(gt, cspec, rng)))
     return out
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 
 from crispdec import benchmark
-from crispdec.benchmark import benchmark_train_config, run_ablation, run_level
+from crispdec.benchmark import run_ablation, run_level
 from crispdec.synthdata import CorruptionSpec, SceneSpec, make_dataset
 
 
@@ -16,8 +16,7 @@ def test_run_ablation_reproduces_in_process_runs(monkeypatch):
     results = run_ablation(levels=("A0", "A6"), seeds=(0, 1),
                            train_data=train_data, eval_data=eval_data)
     for level in ("A0", "A6"):
-        runs = [run_level(level, seed, train_data, eval_data,
-                          benchmark_train_config(seed)) for seed in (0, 1)]
+        runs = [run_level(level, seed, train_data, eval_data) for seed in (0, 1)]
         assert results[level]["runs"] == runs
         for metric in ("miou", "boundary_f1", "ece"):
             assert results[level][metric] == float(np.mean([r[metric] for r in runs]))

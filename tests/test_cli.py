@@ -51,6 +51,42 @@ def test_gen_rejects_bad_flags(tmp_path, capsys, extra):
     assert not os.path.exists(tmp_path / "d")
 
 
+def gen_hash(out, capsys, extra=()):
+    assert run_gen(out, n=3, seed=1, extra=extra) == EXIT_OK
+    return capsys.readouterr().out.split("dataset hash: ")[1].split()[0]
+
+
+@pytest.mark.parametrize("extra", [("--n", "4"), ("--seed", "2"), ("--height", "96"),
+                                   ("--width", "96"), ("--classes", "3"),
+                                   ("--erode-px", "3"), ("--dilate-px", "3"),
+                                   ("--blob-smooth-iters", "1"),
+                                   ("--drop-thin-prob", "1.0"), ("--flip-prob", "0.1")],
+                         ids=lambda extra: extra[0])
+def test_gen_every_data_flag_changes_the_dataset(tmp_path, capsys, extra):
+    # run_gen passes --n 3 --seed 1 first; the flag under test comes last and wins
+    assert gen_hash(tmp_path / "a", capsys, extra) != gen_hash(tmp_path / "b", capsys)
+
+
+@pytest.mark.parametrize("argv", [["gen", "--out", "D", "--bogus", "1"],
+                                  ["gen", "--out", "D", "--n", "abc"],
+                                  ["gen", "--out", "D", "--q-start", "30"],
+                                  ["train", "--data", "D"],
+                                  ["eval"],
+                                  ["frobnicate"]],
+                         ids=["unknown-flag", "bad-int", "removed-flag", "missing-out",
+                              "eval-no-flags", "unknown-command"])
+def test_command_line_errors_are_usage_errors(tmp_path, capsys, argv):
+    code = main([str(tmp_path / a) if a == "D" else a for a in argv])
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().err.startswith("usage error: ")
+    assert not os.path.exists(tmp_path / "D")
+
+
+def test_gradcheck_rejects_negative_seed(capsys):
+    assert main(["gradcheck", "--seed", "-1"]) == EXIT_USAGE
+    assert capsys.readouterr().err.startswith("usage error: seed must be >= 0")
+
+
 @pytest.fixture(scope="module")
 def trained(tmp_path_factory):
     """One tiny dataset + checkpoint shared by the train/eval tests."""
@@ -103,8 +139,6 @@ def test_train_rejects_bad_schedule_flags(tmp_path, trained, capsys, extra):
 
 
 @pytest.mark.parametrize("line", ["batch_size=0", "epochs=-1", "lr_decoder=0",
-                                  "lr_encoder_scale=-0.1", "weight_decay=-1e-4",
-                                  "grad_clip=-1", "warmup_epochs=-1",
                                   "q_anneal_epochs=-1", "relabel_period=-1",
                                   "detach_p_epochs=-1", "seed=-3"])
 def test_train_rejects_bad_schedule_config(tmp_path, trained, capsys, line):
@@ -115,6 +149,23 @@ def test_train_rejects_bad_schedule_config(tmp_path, trained, capsys, line):
                  "--config", str(cfg)])
     assert code == EXIT_DATA
     assert capsys.readouterr().err.startswith(f"data error: {cfg}: ")
+
+
+# keys of older versions that are constants now, each at its constant value
+@pytest.mark.parametrize("line", ["lr_encoder_scale=0.1", "weight_decay=1e-4",
+                                  "q_start=30", "q_end=15", "warmup_epochs=1",
+                                  "grad_clip=5", "flip_augment=true"],
+                         ids=lambda line: line.split("=")[0])
+def test_train_rejects_removed_config_key(tmp_path, trained, capsys, line):
+    data, _ = trained
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("epochs=1\n" + line + "\n")
+    code = main(["train", "--data", str(data), "--out", str(tmp_path / "r"),
+                 "--config", str(cfg)])
+    assert code == EXIT_DATA
+    key = line.split("=")[0]
+    assert capsys.readouterr().err == f"data error: {cfg}:2: unknown key {key!r}\n"
+    assert not os.path.exists(tmp_path / "r")
 
 
 def test_train_rejects_unknown_config_key(tmp_path, trained):

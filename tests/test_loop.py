@@ -40,11 +40,6 @@ def tiny_data(n=4, seed=11):
 
 # --- config ---------------------------------------------------------------
 
-def test_config_rejects_inverted_q():
-    with pytest.raises(ValueError):
-        TrainConfig(q_start=10.0, q_end=20.0)
-
-
 def test_config_rejects_bad_tau_and_keep():
     with pytest.raises(ValueError):
         TrainConfig(ema_tau=1.0)
@@ -53,19 +48,17 @@ def test_config_rejects_bad_tau_and_keep():
 
 
 def test_config_accepts_zero_encoder_scale_decay_and_clip():
-    # an encoder lr scale of 0 freezes the encoder; grad_clip 0 turns clipping off
-    TrainConfig(lr_encoder_scale=0.0, weight_decay=0.0, grad_clip=0.0)
-    # 0 epochs of warmup, annealing or detaching, and relabel_period 0 (never)
-    TrainConfig(warmup_epochs=0, q_anneal_epochs=0, relabel_period=0, detach_p_epochs=0)
+    # 0 epochs of annealing or detaching, and relabel_period 0 (never)
+    TrainConfig(q_anneal_epochs=0, relabel_period=0, detach_p_epochs=0)
 
 
 def test_parse_config_overrides_and_types(tmp_path):
     p = tmp_path / "c.txt"
-    p.write_text("# comment\n\nepochs = 5\nlr_decoder=1e-3\nflip_augment=false\n")
+    p.write_text("# comment\n\nepochs = 5\nlr_decoder=1e-3\nuse_sdf=false\n")
     cfg = parse_config(p)
     assert cfg.epochs == 5 and isinstance(cfg.epochs, int)
     assert cfg.lr_decoder == 1e-3
-    assert cfg.flip_augment is False
+    assert cfg.use_sdf is False
     assert cfg.batch_size == TrainConfig().batch_size  # untouched default
 
 
@@ -118,11 +111,11 @@ def test_parse_config_rejects_bad_values(tmp_path, text):
 # --- schedules ------------------------------------------------------------
 
 def test_anneal_q_endpoints_and_midpoint():
-    cfg = TrainConfig(q_start=30.0, q_end=15.0, q_anneal_epochs=10)
-    assert anneal_q(0, cfg) == 30.0
-    assert anneal_q(10, cfg) == 15.0
-    assert anneal_q(5, cfg) == pytest.approx(22.5)
-    assert anneal_q(25, cfg) == 15.0  # flat after the anneal window
+    cfg = TrainConfig(q_anneal_epochs=10)
+    assert anneal_q(0, cfg) == loop.Q_START
+    assert anneal_q(10, cfg) == loop.Q_END
+    assert anneal_q(5, cfg) == pytest.approx((loop.Q_START + loop.Q_END) / 2)
+    assert anneal_q(25, cfg) == loop.Q_END  # flat after the anneal window
 
 
 def test_anneal_q_rejects_negative_epoch():
@@ -445,8 +438,7 @@ def test_train_deterministic_given_seed():
 def test_train_reduces_loss_on_micro_dataset():
     data = tiny_data(4)
     cfg = TrainConfig(epochs=3, batch_size=4, lr_decoder=5e-3, seed=0,
-                      relabel_period=0, flip_augment=False, q_anneal_epochs=1,
-                      q_start=30.0, q_end=30.0)
+                      relabel_period=0, q_anneal_epochs=0)
     logs = train(cfg, data, tiny_model())
     assert logs[-1]["l_total"] < logs[0]["l_total"]
 

@@ -275,7 +275,7 @@ def test_total_loss_breakdown_keys_and_consistency():
     assert set(br) == {"l_total", "l_ce", "l_dice", "l_het", "l_bnd", "l_sdf",
                        "mean_w", "valid_fraction"}
     assert br["l_sdf"] > 0
-    want = (br["l_ce"] + losses.LAMBDA_DICE * br["l_dice"]
+    want = (br["l_ce"] + br["l_dice"]
             + losses.LAMBDA_HET * br["l_het"] + losses.LAMBDA_BND * br["l_bnd"]
             + losses.LAMBDA_SDF * br["l_sdf"])
     np.testing.assert_allclose(br["l_total"], want, rtol=1e-12)

@@ -176,15 +176,6 @@ def test_corrupt_drop_thin_prob_one_removes_bars():
     assert (seed.yhat[0] == 2).any()
 
 
-def test_corrupt_valid_respects_q_budget():
-    spec = SceneSpec(seed=6)
-    _, gt = generate_scene(spec, 0)
-    seed = corrupt_to_seed(gt, CorruptionSpec(), np.random.default_rng(1),
-                           q_percent=30.0)
-    masked = (seed.valid[0] == 0).sum()
-    assert masked >= int(np.ceil(0.3 * 64 * 64))  # q mask plus any IGNORE labels
-
-
 def test_corrupt_uncertainty_peaks_near_boundaries():
     spec = SceneSpec(seed=8)
     _, gt = generate_scene(spec, 0)
@@ -237,6 +228,19 @@ def test_dataset_roundtrip(tmp_path):
         np.testing.assert_allclose(a.image, b.image, atol=1e-7)  # f32 storage
         np.testing.assert_array_equal(a.gt, b.gt)
         np.testing.assert_array_equal(a.seed.yhat, b.seed.yhat)
+
+
+def test_loaded_dataset_equals_the_samples_in_memory(tmp_path):
+    data = make_dataset(4, SceneSpec(seed=2), CorruptionSpec(flip_prob=0.1))
+    export_dataset(tmp_path / "d", data)
+    for a, b in zip(data, load_dataset(tmp_path / "d"), strict=True):
+        np.testing.assert_array_equal(a.image, b.image)
+        np.testing.assert_array_equal(a.gt, b.gt)
+        np.testing.assert_array_equal(a.seed.yhat, b.seed.yhat)
+        np.testing.assert_array_equal(a.seed.valid, b.seed.valid)
+        # CTSR stores the uncertainty as float32
+        np.testing.assert_array_equal(a.seed.seed_uncertainty.astype(np.float32),
+                                      b.seed.seed_uncertainty)
 
 
 def test_dataset_hash_deterministic(tmp_path):
