@@ -417,7 +417,11 @@ def conv2d(t: Tensor, kernel: Tensor, bias: Tensor | None = None,
         for ki in range(k):
             for kj in range(k):
                 patches[:, :, ki, kj] = xp[:, :, ki:ki + s * hout:s, kj:kj + s * wout:s]
-    out_data = np.einsum("oikl,niklhw->nohw", kernel.data, patches, optimize=True)
+    # one GEMM per image, with the image as matmul's batch axis: an image's
+    # output then sums in the same order whatever batch it is in
+    cols = patches.reshape(n, cin * k * k, hout * wout)
+    kmat = kernel.data.reshape(cout, cin * k * k)
+    out_data = np.matmul(kmat, cols).reshape(n, cout, hout, wout)
     if bias is not None:
         out_data = out_data + bias.data.reshape(1, cout, 1, 1)
 
@@ -426,17 +430,16 @@ def conv2d(t: Tensor, kernel: Tensor, bias: Tensor | None = None,
     def bwd(g):
         if bias is not None and bias.requires_grad:
             bias._accumulate(g.sum(axis=(0, 2, 3)).reshape(bias.shape))
+        gmat = g.reshape(n, cout, hout * wout)
         if kernel.requires_grad:
-            kernel._accumulate(
-                np.einsum("nohw,niklhw->oikl", g, patches, optimize=True)
-            )
+            gk = np.matmul(gmat, cols.transpose(0, 2, 1)).sum(axis=0)
+            kernel._accumulate(gk.reshape(kernel.shape))
         if t.requires_grad:
+            gcols = np.matmul(kmat.T, gmat).reshape(n, cin, k, k, hout, wout)
             gxp = np.zeros_like(xp)
             for ki in range(k):
                 for kj in range(k):
-                    gxp[:, :, ki:ki + s * hout:s, kj:kj + s * wout:s] += np.einsum(
-                        "nohw,oi->nihw", g, kernel.data[:, :, ki, kj], optimize=True
-                    )
+                    gxp[:, :, ki:ki + s * hout:s, kj:kj + s * wout:s] += gcols[:, :, ki, kj]
             t._accumulate(gxp[:, :, p:p + h, p:p + w] if p else gxp)
 
     return Tensor._from_op(out_data, parents, bwd)

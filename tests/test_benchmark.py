@@ -1,7 +1,9 @@
 import numpy as np
+import pytest
 
 from crispdec import benchmark
-from crispdec.benchmark import run_ablation, run_level
+from crispdec.benchmark import LEVELS, evaluate_model, run_ablation, run_level
+from crispdec.model import ModelConfig, SegModel
 from crispdec.synthdata import CorruptionSpec, SceneSpec, make_dataset
 
 
@@ -20,3 +22,12 @@ def test_run_ablation_reproduces_in_process_runs(monkeypatch):
         assert results[level]["runs"] == runs
         for metric in ("miou", "boundary_f1", "ece"):
             assert results[level][metric] == float(np.mean([r[metric] for r in runs]))
+
+
+@pytest.mark.parametrize("level", ["A6", "U0"])
+def test_evaluate_model_scores_do_not_depend_on_the_batch_size(level):
+    # `crispdec eval` scores at batch 1, the waterfall at batch 25
+    model = SegModel(ModelConfig(seed=0, dtype="float32", **LEVELS[level]))
+    data = make_dataset(30, SceneSpec(seed=5), CorruptionSpec())
+    assert (evaluate_model(model, data, 4, batch_size=1)
+            == evaluate_model(model, data, 4, batch_size=25))

@@ -172,18 +172,52 @@ def test_conv2d_stride2_shape():
     assert conv2d(x, k, padding=1, stride=2).shape == (2, 5, 4, 4)
 
 
-def test_conv2d_matches_direct_loop():
+@pytest.mark.parametrize("n, k, stride, dtype", [
+    pytest.param(1, 3, 1, "float64", id="3x3"),
+    pytest.param(3, 3, 1, "float64", id="batch3"),
+    pytest.param(1, 3, 2, "float64", id="stride2"),
+    pytest.param(1, 1, 1, "float64", id="1x1"),
+    pytest.param(1, 3, 1, "float32", id="float32"),
+])
+def test_conv2d_matches_direct_loop(n, k, stride, dtype):
+    atol = 1e-12 if dtype == "float64" else 1e-5
     rng = np.random.default_rng(3)
-    x = rng.standard_normal((1, 2, 5, 5))
-    k = rng.standard_normal((3, 2, 3, 3))
-    got = conv2d(Tensor(x), Tensor(k), padding=1).data
-    xp = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
-    want = np.zeros((1, 3, 5, 5))
-    for co in range(3):
-        for i in range(5):
-            for j in range(5):
-                want[0, co, i, j] = (xp[0, :, i:i + 3, j:j + 3] * k[co]).sum()
-    np.testing.assert_allclose(got, want, atol=1e-12)
+    x = rng.standard_normal((n, 2, 5, 5)).astype(dtype)
+    kern = rng.standard_normal((3, 2, k, k)).astype(dtype)
+    pad = k // 2
+    got = conv2d(Tensor(x), Tensor(kern), padding=pad, stride=stride).data
+    xp = np.pad(x.astype(np.float64), ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    hout = (5 + 2 * pad - k) // stride + 1
+    want = np.zeros((n, 3, hout, hout))
+    for b in range(n):
+        for co in range(3):
+            for i in range(hout):
+                for j in range(hout):
+                    r, c = i * stride, j * stride
+                    want[b, co, i, j] = (xp[b, :, r:r + k, c:c + k] * kern[co]).sum()
+    assert got.dtype == dtype
+    np.testing.assert_allclose(got, want, rtol=0, atol=atol)
+
+
+@pytest.mark.parametrize("k, padding, stride, size", [
+    pytest.param(1, 0, 1, 2, id="1x1"),
+    pytest.param(3, 1, 1, 4, id="3x3"),
+    pytest.param(3, 1, 2, 8, id="3x3s2-to-4x4"),
+    pytest.param(3, 1, 2, 4, id="3x3s2-to-2x2"),
+])
+@pytest.mark.parametrize("x_dtype, k_dtype", [
+    ("float32", "float32"), ("float64", "float64"), ("float64", "float32"),
+])
+def test_conv2d_image_output_does_not_depend_on_its_batch(k, padding, stride, size,
+                                                          x_dtype, k_dtype):
+    rng = np.random.default_rng(7)
+    x = rng.standard_normal((3, 16, size, size)).astype(x_dtype)
+    kern = Tensor(rng.standard_normal((24, 16, k, k)).astype(k_dtype))
+    bias = Tensor(rng.standard_normal(24).astype(k_dtype))
+    batch = conv2d(Tensor(x), kern, bias, padding, stride).data
+    for i in range(3):
+        alone = conv2d(Tensor(x[i:i + 1]), kern, bias, padding, stride).data
+        np.testing.assert_array_equal(batch[i:i + 1], alone)
 
 
 def test_bilinear_upsample_constant_preserved():
