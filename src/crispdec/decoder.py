@@ -14,7 +14,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .tensor import Tensor, bilinear_upsample, cat, conv2d, softmax
+from .tensor import Tensor, _unbroadcast, bilinear_upsample, cat, conv2d, softmax
 
 if TYPE_CHECKING:
     from .model import ModelConfig
@@ -125,11 +125,26 @@ class DecoderParams:
 
 def channel_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     """Per-sample, per-channel normalization over spatial positions with a
-    learned affine (batch-size independent)."""
-    mu = x.mean(axis=(2, 3), keepdims=True)
-    xc = x - mu
-    var = (xc * xc).mean(axis=(2, 3), keepdims=True)
-    return gamma * (xc / (var + NORM_EPS).sqrt()) + beta
+    learned affine (batch-size independent), as one node. The backward is
+    the layer-norm gradient: with d = g * gamma, through the std, then the
+    variance, then the centering, in the order of the chain of primitives."""
+    c = 1.0 / (x.shape[2] * x.shape[3])
+    xc = x.data - x.data.sum(axis=(2, 3), keepdims=True) * c
+    std = np.sqrt((xc * xc).sum(axis=(2, 3), keepdims=True) * c + NORM_EPS)
+    xhat = xc / std
+
+    def bwd(g):
+        if gamma.requires_grad:
+            gamma._accumulate(_unbroadcast(g * xhat, gamma.shape))
+        if beta.requires_grad:
+            beta._accumulate(_unbroadcast(g, beta.shape))
+        if x.requires_grad:
+            d = g * gamma.data
+            g_var = (-d * xc / (std * std)).sum(axis=(2, 3), keepdims=True) * 0.5 / std * c
+            g_xc = d / std + g_var * xc + g_var * xc
+            x._accumulate(g_xc + -g_xc.sum(axis=(2, 3), keepdims=True) * c)
+
+    return Tensor._from_op(gamma.data * xhat + beta.data, (x, gamma, beta), bwd)
 
 
 def project_and_upsample(pyramid: FeaturePyramid, params: DecoderParams) -> list[Tensor]:
@@ -159,10 +174,24 @@ def dmf_fuse(e_list: list[Tensor], params: DecoderParams,
             s = s - u_down
         scores.append(s)
     w = softmax(cat(scores, axis=1), axis=1)
-    fused = w[:, 0:1] * e_list[0]
-    for i in range(1, 4):
-        fused = fused + w[:, i:i + 1] * e_list[i]
-    return fused, w
+    return weighted_sum(w, e_list), w
+
+
+def weighted_sum(w: Tensor, e_list: list[Tensor]) -> Tensor:
+    """sum_i w[:, i] * e_i, summed left to right, as one node."""
+    fused = w.data[:, 0:1] * e_list[0].data
+    for i in range(1, len(e_list)):
+        fused = fused + w.data[:, i:i + 1] * e_list[i].data
+
+    def bwd(g):
+        if w.requires_grad:
+            w._accumulate(np.concatenate(
+                [(g * e.data).sum(axis=1, keepdims=True) for e in e_list], axis=1))
+        for i, e in enumerate(e_list):
+            if e.requires_grad:
+                e._accumulate(g * w.data[:, i:i + 1])
+
+    return Tensor._from_op(fused, (w, *e_list), bwd)
 
 
 def static_fuse(e_list: list[Tensor], params: DecoderParams) -> Tensor:

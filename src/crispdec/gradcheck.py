@@ -109,6 +109,8 @@ def _primitive_checks(rng) -> list[CheckResult]:
     w = _rand(rng, 2, 5)
     wc = w.data.copy()
     out.append(_check("softmax", lambda x: (softmax(x, 1) * wc).sum(), [w]))
+    out.append(_check("log_softmax", lambda x: (log_softmax(x, 1) * wc).sum(), [w]))
+    out.append(_check("rsub", lambda x: ((2.0 - x) * x).sum(), [a]))
     out.append(_check("sum_axis", lambda x: (x.sum(axis=0) * x.sum(axis=0)).sum(), [a]))
     out.append(_check("mean", lambda x: (x.mean(axis=1) * 2.0).sum(), [a]))
     out.append(_check("max", lambda x: x.max(axis=1).sum(), [a]))
@@ -144,6 +146,9 @@ def _primitive_checks(rng) -> list[CheckResult]:
     out.append(_check("channel_norm",
                       lambda t, gg, bb: (dec.channel_norm(t, gg, bb)
                                          * xc).sum(), [xn, g, bt], h=1e-5))
+    es, sw = [_rand(rng, 2, 2, 3, 3) for _ in range(4)], rng.standard_normal((2, 2, 3, 3))
+    out.append(_check("dmf_weighted_sum", lambda t, *e: (dec.weighted_sum(t, list(e)) * sw)
+                      .sum(), [_rand(rng, 2, 4, 3, 3), *es]))
     return out
 
 
@@ -165,6 +170,9 @@ def _loss_checks(rng) -> list[CheckResult]:
     elog = _rand(rng, n, 1, h, w)
     out.append(_check("boundary_loss",
                       lambda e: losses.boundary_loss(e, band), [elog]))
+    sup = (rng.random((n, 1, h, w)) < 0.7).astype(np.uint8)
+    out.append(_check("boundary_loss_supervised",
+                      lambda e: losses.boundary_loss(e, band, sup), [elog]))
     yhat = rng.integers(0, 2, size=(n, h, w))
     zs = _rand(rng, n, k, h, w)
     out.append(_check("sdf_loss",

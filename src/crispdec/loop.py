@@ -129,26 +129,26 @@ def relabel(p_t: np.ndarray, u_t: np.ndarray, keep_fraction: float) -> PseudoLab
         raise ValueError("probability/uncertainty shape mismatch")
     n_keep = int(np.ceil(keep_fraction * h * w))
     flat = u_t.reshape(-1)
-    order = np.lexsort((np.arange(flat.size), flat))  # ascending u, ties by index
-    keep_idx = order[:n_keep]
-    yhat = np.full(h * w, IGNORE, dtype=np.int64)
-    yhat[keep_idx] = p_t.reshape(k_cls, -1).argmax(axis=0)[keep_idx]
-    valid = np.zeros(h * w, dtype=np.uint8)
-    valid[keep_idx] = 1
-    return PseudoLabelSet(yhat=yhat.reshape(1, h, w), valid=valid.reshape(1, h, w),
+    # every value below the n_keep-th smallest, then its ties by index
+    cut = np.partition(flat, n_keep - 1)[n_keep - 1]
+    keep = flat < cut
+    keep[np.flatnonzero(flat == cut)[:n_keep - np.count_nonzero(keep)]] = True
+    yhat = np.where(keep, p_t.reshape(k_cls, -1).argmax(axis=0), IGNORE)
+    return PseudoLabelSet(yhat=yhat.reshape(1, h, w), valid=keep.reshape(1, h, w),
                           seed_uncertainty=u_t[None].copy())
 
 
-def unconfirmed_classes(p: np.ndarray) -> np.ndarray:
-    """The classes whose teacher argmax over p [N,K,H,W] keeps less than
-    1/K of the probability mass the teacher puts on them."""
+def unconfirmed_classes(p: np.ndarray, hard: np.ndarray) -> np.ndarray:
+    """The classes whose teacher argmax `hard` = p.argmax(axis=1) keeps less
+    than 1/K of the probability mass the teacher puts on them in p [N,K,H,W]."""
     k = p.shape[1]
-    hard = np.bincount(p.argmax(axis=1).reshape(-1), minlength=k)
-    return np.flatnonzero(hard < p.sum(axis=(0, 2, 3)) / k)
+    counts = np.bincount(hard.reshape(-1), minlength=k)
+    return np.flatnonzero(counts < p.sum(axis=(0, 2, 3)) / k)
 
 
-def protect_classes(p: np.ndarray, u: np.ndarray,
-                    labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def protect_classes(p: np.ndarray, u: np.ndarray, labels: np.ndarray,
+                    hard: np.ndarray | None = None,
+                    held: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Inputs for `relabel` that keep the teacher from erasing a class.
 
     p [N,K,H,W] and u [N,H,W] are the teacher's probabilities and
@@ -167,13 +167,18 @@ def protect_classes(p: np.ndarray, u: np.ndarray,
     so relabel's cut drops contradicted pixels first and takes the same
     share of every class (class-balanced selection, Zou et al. 2018)
     instead of most of a minority class whose pixels are all uncertain.
+    A caller that has them passes `hard` = p.argmax(axis=1) and `held` =
+    unconfirmed_classes(p, hard).
     """
     n, k = p.shape[:2]
     if u.shape != (n, *p.shape[2:]) or labels.shape != u.shape:
         raise ValueError("probability/uncertainty/label shape mismatch")
-    held = np.isin(labels, unconfirmed_classes(p))
-    cls = np.where(held, labels, p.argmax(axis=1)).reshape(-1)
-    idx = np.lexsort((u.reshape(-1), cls))  # by class, then u; ties by index
+    hard = p.argmax(axis=1) if hard is None else hard
+    held = unconfirmed_classes(p, hard) if held is None else held
+    cls = np.where(np.isin(labels, held), labels, hard).reshape(-1)
+    # by class, then u, ties by index; narrow class keys sort by radix
+    idx = np.argsort(u.reshape(-1), kind="stable")
+    idx = idx[np.argsort(cls[idx].astype(np.min_scalar_type(k - 1)), kind="stable")]
     counts = np.bincount(cls, minlength=k)
     pos = np.empty(cls.size)
     pos[idx] = np.arange(cls.size)
@@ -223,13 +228,15 @@ def relabel_all(model: SegModel, teacher: TeacherState, data: list,
     p = np.concatenate([p for p, _ in maps])
     u = np.concatenate([u for _, u in maps])
     before = np.concatenate([s.seed.yhat for s in data])
-    scores, order = protect_classes(p, u, before)
+    hard = p.argmax(axis=1)
+    held = unconfirmed_classes(p, hard)
+    scores, order = protect_classes(p, u, before, hard, held)
     for s, sc, o, ui in zip(data, scores, order, u):
         s.seed = replace(relabel(sc, o, keep_fraction), seed_uncertainty=ui[None])
     after = np.concatenate([s.seed.yhat for s in data])
     gt = np.stack([s.gt for s in data])
     return {"kept_fraction": float((after != IGNORE).mean()),
-            "held_classes": " ".join(str(c) for c in unconfirmed_classes(p)),
+            "held_classes": " ".join(str(c) for c in held),
             "changed_fraction": float((after != before).mean()),
             "acc_before": _label_accuracy(before, gt),
             "acc_after": _label_accuracy(after, gt)}

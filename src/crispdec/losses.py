@@ -10,13 +10,13 @@ zero, including to gradients.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .fileio import IGNORE
 from .geometry import PHI_SENTINEL, boundary_band, signed_distance
-from .tensor import Tensor, bilinear_upsample, log_softmax, softmax
+from .tensor import Tensor, _sigmoid, bilinear_upsample, log_softmax, softmax
 
 DICE_SMOOTH = 1.0
 _MINMAX_TINY = 1e-12
@@ -38,6 +38,7 @@ class PseudoLabelSet:
     yhat: np.ndarray               # int labels [N,H,W], IGNORE allowed
     valid: np.ndarray              # {0,1} [N,H,W]
     seed_uncertainty: np.ndarray   # float [N,H,W]
+    _targets: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.yhat = np.asarray(self.yhat)
@@ -61,31 +62,28 @@ class UncertaintyMaps:
     w: Tensor          # exp(-beta * u)
 
 
-def _check_labels(labels: PseudoLabelSet, k: int):
-    lab = labels.yhat
-    bad = (lab != IGNORE) & ((lab < 0) | (lab >= k))
-    if np.any(bad):
-        raise ValueError(f"labels out of range for K={k}")
-
-
-def _one_hot(labels: PseudoLabelSet, k: int) -> np.ndarray:
-    n, h, w = labels.yhat.shape
-    oh = np.zeros((n, k, h, w))
-    lab = np.where(labels.valid.astype(bool), labels.yhat, 0)
-    np.put_along_axis(oh, lab[:, None], 1.0, axis=1)
-    return oh * labels.valid[:, None]
+def _targets(labels: PseudoLabelSet, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The one-hot [N,K,H,W] of the valid labels and the float valid mask
+    [N,1,H,W], checked and built once per label set and shared by the loss
+    terms."""
+    if k not in labels._targets:
+        lab = labels.yhat
+        if np.any((lab != IGNORE) & ((lab < 0) | (lab >= k))):
+            raise ValueError(f"labels out of range for K={k}")
+        vm = labels.valid[:, None].astype(np.float64)
+        oh = (labels.yhat[:, None] == np.arange(k)[:, None, None]) * vm
+        labels._targets[k] = (oh, vm)
+    return labels._targets[k]
 
 
 def masked_ce(logp: Tensor, labels: PseudoLabelSet, w=None) -> Tensor:
     """Mean over valid pixels of w * (-logp[yhat]), from log-probabilities;
     `w` is a [N,1,H,W] pixel-weight Tensor, or None for unit weights."""
-    k = logp.shape[1]
-    _check_labels(labels, k)
+    oh = Tensor(_targets(labels, logp.shape[1])[0])
     n_valid = int(labels.valid.sum())
     if n_valid == 0:
         warnings.warn("masked_ce: no valid pixels, returning 0")
         return Tensor(0.0)
-    oh = Tensor(_one_hot(labels, k))
     nll = -(oh * logp).sum(axis=1, keepdims=True)
     if w is not None:
         nll = w * nll
@@ -96,15 +94,12 @@ def masked_dice(p: Tensor, labels: PseudoLabelSet, w=None) -> Tensor:
     """Soft Dice of probabilities over the valid region, averaged over the
     classes present in the valid targets; the pixel weight `w` (as in
     `masked_ce`) enters both soft sums, taken for all classes at once."""
-    k = p.shape[1]
-    _check_labels(labels, k)
+    oh, vm = _targets(labels, p.shape[1])
     if int(labels.valid.sum()) == 0:
         warnings.warn("masked_dice: no valid pixels, returning 0")
         return Tensor(0.0)
-    oh_np = _one_hot(labels, k)
-    present = np.flatnonzero(oh_np.any(axis=(0, 2, 3)))
-    y = Tensor(oh_np)
-    vm = Tensor(labels.valid[:, None].astype(np.float64))
+    present = np.flatnonzero(oh.any(axis=(0, 2, 3)))
+    y, vm = Tensor(oh), Tensor(vm)
     wt = vm if w is None else w * vm
     num = 2.0 * (wt * p * y).sum(axis=(0, 2, 3)) + DICE_SMOOTH
     den = (wt * (p + y)).sum(axis=(0, 2, 3)) + DICE_SMOOTH
@@ -140,44 +135,49 @@ def heteroscedastic_loss(logp: Tensor, labels: PseudoLabelSet,
     """Mean over valid pixels of CE/(2 sigma^2) + log(sigma^2)/2, from the
     log-probabilities of the pre-refine logits and the per-pixel scalar
     variance (channel mean, upsampled)."""
-    n, k, h, w = logp.shape
-    _check_labels(labels, k)
+    oh, vm = (Tensor(a) for a in _targets(labels, logp.shape[1]))
     if np.any(sigma2_up.data <= 0):
         raise ValueError("sigma2 must be strictly positive")
     n_valid = int(labels.valid.sum())
     if n_valid == 0:
         warnings.warn("heteroscedastic_loss: no valid pixels, returning 0")
         return Tensor(0.0)
-    oh = Tensor(_one_hot(labels, k))
     nll = -(oh * logp).sum(axis=1, keepdims=True)
-    vm = Tensor(labels.valid[:, None].astype(np.float64))
     per_px = nll / (2.0 * sigma2_up) + 0.5 * sigma2_up.log()
     return (per_px * vm).sum() / n_valid
 
 
 def boundary_loss(e_log_up: Tensor, band: np.ndarray, supervised=None) -> Tensor:
-    """BCE (pixel mean) + soft Dice between edge logits and the thin band.
+    """BCE (pixel mean) + soft Dice between edge logits and the thin band,
+    as one node.
 
     `supervised` optionally restricts both terms to a {0,1} pixel set; the
     band is undefined near IGNORE labels, and teaching "no boundary" there
     would actively erase real edges after relabeling.
     """
-    b = Tensor(np.asarray(band, dtype=np.float64).reshape(e_log_up.shape))
-    if supervised is None:
-        sup = Tensor(np.ones(e_log_up.shape))
-        n_sup = float(np.prod(e_log_up.shape))
-    else:
-        sup = Tensor(np.asarray(supervised, dtype=np.float64).reshape(e_log_up.shape))
-        n_sup = float(sup.data.sum())
-        if n_sup == 0:
-            warnings.warn("boundary_loss: no supervised pixels, returning 0")
-            return Tensor(0.0)
-    # stable BCE-with-logits: softplus(x) - x*b
-    bce = (sup * (e_log_up.softplus() - e_log_up * b)).sum() / n_sup
-    p = e_log_up.sigmoid()
+    x = e_log_up.data
+    b = np.asarray(band, dtype=x.dtype).reshape(x.shape)
+    sup = (np.ones(x.shape, dtype=x.dtype) if supervised is None
+           else np.asarray(supervised, dtype=x.dtype).reshape(x.shape))
+    n_sup = float(sup.sum())
+    if n_sup == 0:
+        warnings.warn("boundary_loss: no supervised pixels, returning 0")
+        return Tensor(0.0)
+    # stable BCE-with-logits: softplus(x) - x*b, with p = sigmoid(x)
+    e = np.exp(-np.abs(x))
+    p = _sigmoid(e, x)
+    bce = (sup * (np.maximum(x, 0.0) + np.log1p(e) - x * b)).sum() / n_sup
     num = 2.0 * (sup * p * b).sum() + DICE_SMOOTH
     den = (sup * (p + b)).sum() + DICE_SMOOTH
-    return bce + (1.0 - num / den)
+
+    def bwd(g):
+        # the chain rule through the terms' primitives, summed in their
+        # order: BCE through x*b and softplus, then Dice through the sigmoid
+        g_bce = g / n_sup * sup  # d loss / d (softplus(x) - x*b)
+        g_p = g * num / (den * den) * sup + -g / den * 2.0 * b * sup
+        e_log_up._accumulate(-g_bce * b + g_bce * p + g_p * p * (1.0 - p))
+
+    return Tensor._from_op(bce + (1.0 - num / den), (e_log_up,), bwd)
 
 
 def sdf_loss(p: Tensor, yhat: np.ndarray) -> Tensor:

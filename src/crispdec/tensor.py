@@ -37,6 +37,11 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     return grad.reshape(shape)
 
 
+def _sigmoid(e: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """sigmoid(x) from e = exp(-|x|), split by sign so exp never overflows."""
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
 class Tensor:
     """A dense array plus optional gradient accumulator.
 
@@ -84,9 +89,6 @@ class Tensor:
 
     def zero_grad(self):
         self.grad = None
-
-    def item(self) -> float:
-        return float(self.data)
 
     def _accumulate(self, g: np.ndarray):
         """Add `g` into `grad`. A first contribution lands as 0 + g, the
@@ -159,10 +161,19 @@ class Tensor:
         return Tensor._from_op(-a.data, (a,), bwd)
 
     def __sub__(self, other):
-        return self + (-self._coerce(other))
+        other = self._coerce(other)
+        a, b = self, other
+
+        def bwd(g):
+            if a.requires_grad:
+                a._accumulate(_unbroadcast(g, a.shape))
+            if b.requires_grad:
+                b._accumulate(-_unbroadcast(g, b.shape))
+
+        return Tensor._from_op(a.data - b.data, (a, b), bwd)
 
     def __rsub__(self, other):
-        return self._coerce(other) + (-self)
+        return self._coerce(other) - self
 
     def __mul__(self, other):
         other = self._coerce(other)
@@ -263,12 +274,7 @@ class Tensor:
 
     def sigmoid(self):
         a = self
-        # split by sign so exp never overflows
-        out_data = np.where(
-            a.data >= 0,
-            1.0 / (1.0 + np.exp(-np.abs(a.data))),
-            np.exp(-np.abs(a.data)) / (1.0 + np.exp(-np.abs(a.data))),
-        )
+        out_data = _sigmoid(np.exp(-np.abs(a.data)), a.data)
 
         def bwd(g):
             a._accumulate(g * out_data * (1.0 - out_data))
@@ -278,12 +284,9 @@ class Tensor:
     def softplus(self):
         """ln(1+e^x) with a large-x branch: softplus(x) = max(x,0) + log1p(e^-|x|)."""
         a = self
-        out_data = np.maximum(a.data, 0.0) + np.log1p(np.exp(-np.abs(a.data)))
-        sig = np.where(
-            a.data >= 0,
-            1.0 / (1.0 + np.exp(-np.abs(a.data))),
-            np.exp(-np.abs(a.data)) / (1.0 + np.exp(-np.abs(a.data))),
-        )
+        e = np.exp(-np.abs(a.data))
+        out_data = np.maximum(a.data, 0.0) + np.log1p(e)
+        sig = _sigmoid(e, a.data)
 
         def bwd(g):
             a._accumulate(g * sig)
@@ -304,13 +307,8 @@ class Tensor:
         return Tensor._from_op(a.data.sum(axis=axis, keepdims=keepdims), (a,), bwd)
 
     def mean(self, axis=None, keepdims: bool = False):
-        if axis is None:
-            n = self.size
-        elif isinstance(axis, tuple):
-            n = int(np.prod([self.shape[i] for i in axis]))
-        else:
-            n = self.shape[axis]
-        return self.sum(axis=axis, keepdims=keepdims) * (1.0 / n)
+        s = self.sum(axis=axis, keepdims=keepdims)
+        return s * (1.0 / (self.size // s.size))
 
     def _extreme(self, axis, keepdims, fn):
         a = self
@@ -373,17 +371,29 @@ def cat(tensors, axis: int = 1) -> Tensor:
 
 
 def softmax(t: Tensor, axis: int) -> Tensor:
-    """Max-stabilized softmax along `axis`. The shift is a detached constant,
-    which leaves the analytic gradient unchanged (softmax is shift-invariant)."""
-    shift = Tensor(t.data.max(axis=axis, keepdims=True))
-    e = (t - shift).exp()
-    return e / e.sum(axis=axis, keepdims=True)
+    """Softmax e / sum(e), e = exp(t - max t), along `axis`, as one node
+    whose backward is the chain rule through the division, the sum and the
+    exp, in the order and so with the rounding of those primitives."""
+    e = np.exp(t.data - t.data.max(axis=axis, keepdims=True))
+    s = e.sum(axis=axis, keepdims=True)
+
+    def bwd(g):
+        t._accumulate((g / s + (-g * e / (s * s)).sum(axis=axis, keepdims=True)) * e)
+
+    return Tensor._from_op(e / s, (t,), bwd)
 
 
 def log_softmax(t: Tensor, axis: int) -> Tensor:
-    shift = Tensor(t.data.max(axis=axis, keepdims=True))
-    z = t - shift
-    return z - z.exp().sum(axis=axis, keepdims=True).log()
+    """z - log(sum(exp z)), z = t - max t, along `axis`, as one node whose
+    backward is g - sum(g) / sum(exp z) * exp z, as the primitives round it."""
+    z = t.data - t.data.max(axis=axis, keepdims=True)
+    ez = np.exp(z)
+    s = ez.sum(axis=axis, keepdims=True)
+
+    def bwd(g):
+        t._accumulate(g + -g.sum(axis=axis, keepdims=True) / s * ez)
+
+    return Tensor._from_op(z - np.log(s), (t,), bwd)
 
 
 def conv2d(t: Tensor, kernel: Tensor, bias: Tensor | None = None,

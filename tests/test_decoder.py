@@ -3,6 +3,7 @@ import pytest
 
 from crispdec.decoder import (
     GATE_BIAS_INIT,
+    NORM_EPS,
     VAR_EPS,
     DecoderParams,
     FeaturePyramid,
@@ -11,6 +12,7 @@ from crispdec.decoder import (
     dmf_fuse,
     project_and_upsample,
     static_fuse,
+    weighted_sum,
 )
 from crispdec.model import ModelConfig
 from crispdec.tensor import Tensor
@@ -210,3 +212,77 @@ def test_batch_independence_of_forward():
     pyr1 = FeaturePyramid(*[Tensor(m.data[:1]) for m in pyr2.maps()])
     out1 = decoder_forward(pyr1, p)
     np.testing.assert_allclose(out2.zstar.data[:1], out1.zstar.data, atol=1e-10)
+
+
+# -- fused ops against the composites they replaced ----------------------------------
+# The oracles are the chains of primitives the ops used to record. A fused
+# op does the same arithmetic forward, and backward replays the chain rule
+# in the chain's order, so values and gradients are bit-equal.
+
+
+def _channel_norm_composite(x, gamma, beta):
+    mu = x.mean(axis=(2, 3), keepdims=True)
+    xc = x + (-mu)
+    var = (xc * xc).mean(axis=(2, 3), keepdims=True)
+    return gamma * (xc / (var + NORM_EPS).sqrt()) + beta
+
+
+def _weighted_sum_composite(w, e_list):
+    fused = w[:, 0:1] * e_list[0]
+    for i in range(1, len(e_list)):
+        fused = fused + w[:, i:i + 1] * e_list[i]
+    return fused
+
+
+def _value_and_grads(f, leaves, weight):
+    for t in leaves:
+        t.zero_grad()
+    out = f(*leaves)
+    (out * weight).sum().backward()
+    return out.data, [t.grad for t in leaves]
+
+
+def _leaves(rng, shapes, dtype=np.float64):
+    return [Tensor(rng.standard_normal(s).astype(dtype), requires_grad=True) for s in shapes]
+
+
+@pytest.mark.parametrize("fused,composite,shapes", [
+    (channel_norm, _channel_norm_composite,
+     [(2, 3, 6, 5), (1, 3, 1, 1), (1, 3, 1, 1)]),
+    (lambda w, *e: weighted_sum(w, list(e)), lambda w, *e: _weighted_sum_composite(w, list(e)),
+     [(2, 4, 5, 5)] + [(2, 3, 5, 5)] * 4),
+], ids=["channel_norm", "weighted_sum"])
+def test_fused_decoder_op_equals_its_composite(fused, composite, shapes):
+    rng = np.random.default_rng(23)
+    leaves = _leaves(rng, shapes)
+    leaves[0].data *= 3.0
+    weight = rng.standard_normal(composite(*leaves).shape)
+    out_f, g_f = _value_and_grads(fused, leaves, weight)
+    out_c, g_c = _value_and_grads(composite, leaves, weight)
+    np.testing.assert_array_equal(out_f, out_c)
+    for gf, gc in zip(g_f, g_c):
+        np.testing.assert_array_equal(gf, gc)
+
+
+def test_dmf_fuse_is_the_weighted_sum_of_its_weights():
+    rng = np.random.default_rng(24)
+    p = make_params(rng)
+    for t in p.tensors.values():
+        t.data += 0.2 * rng.standard_normal(t.shape)
+    e_list = project_and_upsample(make_pyramid(rng), p)
+    fused, w = dmf_fuse(e_list, p)
+    np.testing.assert_array_equal(fused.data, _weighted_sum_composite(w, e_list).data)
+    assert fused._parents[0] is w  # one node over the weights and the four maps
+    assert [id(t) for t in fused._parents[1:]] == [id(e) for e in e_list]
+
+
+@pytest.mark.parametrize("op,shapes", [
+    (channel_norm, [(2, 3, 4, 4), (1, 3, 1, 1), (1, 3, 1, 1)]),
+    (lambda w, *e: weighted_sum(w, list(e)), [(2, 4, 3, 3)] + [(2, 2, 3, 3)] * 4),
+], ids=["channel_norm", "weighted_sum"])
+def test_fused_decoder_ops_keep_float32(op, shapes):
+    leaves = _leaves(np.random.default_rng(25), shapes, dtype=np.float32)
+    out = op(*leaves)
+    out.sum().backward()
+    assert out.data.dtype == np.float32
+    assert all(t.grad.dtype == np.float32 for t in leaves)

@@ -191,6 +191,35 @@ def test_relabel_ties_prefer_earlier_index():
     np.testing.assert_array_equal(out.valid.reshape(-1)[n_keep:], 0)
 
 
+@pytest.mark.parametrize("decimals", [0, 1, 8])
+def test_relabel_and_protect_classes_equal_their_lexsort_oracles(decimals):
+    """Selection by partition and ordering by two stable sorts pick what a
+    full lexsort picks, ties included (rounded u makes many)."""
+    rng = np.random.default_rng(decimals)
+    p = rng.random((3, 4, 8, 8)) ** 3
+    p /= p.sum(axis=1, keepdims=True)
+    u = np.round(rng.random((3, 8, 8)), decimals)
+    labels = np.where(rng.random((3, 8, 8)) < 0.2, IGNORE, rng.integers(0, 4, (3, 8, 8)))
+    scores, order = protect_classes(p, u, labels)
+    cls = scores.argmax(axis=1).reshape(-1)
+    idx = np.lexsort((u.reshape(-1), cls))
+    rank = np.empty(cls.size)
+    rank[idx] = np.arange(cls.size)
+    counts = np.bincount(cls, minlength=4)
+    expect = (rank - (np.cumsum(counts) - counts)[cls]) / counts[cls]
+    flat = labels.reshape(-1)
+    expect += (cls != flat) & (flat != IGNORE)
+    np.testing.assert_array_equal(order.reshape(-1), expect)
+    for i in range(3):
+        for keep in (0.1, 0.5, 0.77):
+            out = relabel(p[i], u[i], keep)
+            flat_u = u[i].reshape(-1)
+            kept = np.lexsort((np.arange(flat_u.size), flat_u))[:int(np.ceil(keep * 64))]
+            valid = np.zeros(64, dtype=np.uint8)
+            valid[kept] = 1
+            np.testing.assert_array_equal(out.valid.reshape(-1), valid)
+
+
 def test_relabel_labels_are_argmax():
     rng = np.random.default_rng(1)
     p = rng.random((4, 6, 6))

@@ -319,3 +319,91 @@ def test_total_loss_computes_each_shared_map_once(monkeypatch):
         ids = [i for n, i in calls if n == name]
         assert ids and len(ids) == len(set(ids)), name
     assert calls.count(("bilinear_upsample", id(out.u_ale))) == 1
+
+
+# -- the fused boundary term against the composite it replaced -------------------------
+
+
+def _boundary_loss_composite(x, band, supervised=None):
+    """The chain of primitives boundary_loss used to record."""
+    b = Tensor(np.asarray(band, dtype=np.float64).reshape(x.shape))
+    if supervised is None:
+        sup, n_sup = Tensor(np.ones(x.shape)), float(np.prod(x.shape))
+    else:
+        sup = Tensor(np.asarray(supervised, dtype=np.float64).reshape(x.shape))
+        n_sup = float(sup.data.sum())
+    bce = (sup * (x.softplus() + (-(x * b)))).sum() / n_sup
+    p = x.sigmoid()
+    num = 2.0 * (sup * p * b).sum() + losses.DICE_SMOOTH
+    den = (sup * (p + b)).sum() + losses.DICE_SMOOTH
+    return bce + (Tensor(np.asarray(1.0)) + (-(num / den)))
+
+
+@pytest.mark.parametrize("supervised", [False, True])
+def test_fused_boundary_loss_equals_its_composite(supervised):
+    """Same arithmetic forward, and the chain rule in the chain's order
+    backward: value and gradient are bit-equal."""
+    rng = np.random.default_rng(30)
+    band = (rng.random((3, 1, 8, 8)) < 0.3).astype(np.float64)
+    sup = (rng.random((3, 1, 8, 8)) < 0.7).astype(np.uint8) if supervised else None
+    x = Tensor(3.0 * rng.standard_normal((3, 1, 8, 8)), requires_grad=True)
+    fused = boundary_loss(x, band, sup)
+    fused.backward()
+    g_fused, x.grad = x.grad, None
+    composite = _boundary_loss_composite(x, band, sup)
+    composite.backward()
+    assert fused.data == composite.data
+    np.testing.assert_array_equal(g_fused, x.grad)
+
+
+def test_fused_boundary_loss_keeps_float32():
+    rng = np.random.default_rng(31)
+    x = Tensor(rng.standard_normal((2, 1, 4, 4)).astype(np.float32), requires_grad=True)
+    loss = boundary_loss(x, rng.random((2, 1, 4, 4)) < 0.3)
+    loss.backward()
+    assert loss.data.dtype == np.float32 and x.grad.dtype == np.float32
+
+
+def test_loss_targets_are_built_once_per_label_set():
+    rng = np.random.default_rng(32)
+    yhat = rng.integers(0, 3, size=(2, 8, 8))
+    valid = (rng.random((2, 8, 8)) < 0.7).astype(np.uint8)
+    labels = PseudoLabelSet(yhat=np.where(valid, yhat, IGNORE), valid=valid,
+                            seed_uncertainty=np.zeros((2, 8, 8)))
+    z = Tensor(rng.standard_normal((2, 3, 8, 8)))
+    sig = Tensor(rng.random((2, 3, 8, 8)) + 0.5)
+    out = FakeOutputs(z, z, sigma2=sig, u_ale=sig.mean(axis=1, keepdims=True))
+    total_loss(out, labels, use_sdf=False)
+    (oh, vm), = labels._targets.values()  # CE, Dice and het shared one build
+    assert losses._targets(labels, 3)[0] is oh
+    ref = np.zeros((2, 3, 8, 8))
+    np.put_along_axis(ref, np.where(valid, yhat, 0)[:, None], 1.0, axis=1)
+    np.testing.assert_array_equal(oh, ref * valid[:, None])
+    np.testing.assert_array_equal(vm, valid[:, None])
+
+
+def test_a6_float32_step_records_at_most_200_tape_nodes(monkeypatch):
+    """A fused op is one node: the forward and loss of one A6 step (253
+    nodes with the composite softmax, subtraction, norm, fusion sum and
+    boundary term) stay within 200."""
+    from crispdec.benchmark import LEVELS
+    from crispdec.model import ModelConfig, SegModel
+
+    rng = np.random.default_rng(33)
+    model = SegModel(ModelConfig(dtype="float32", **LEVELS["A6"]))
+    yhat = rng.integers(0, 4, size=(2, 64, 64))
+    yhat[:, :4] = IGNORE
+    labels = PseudoLabelSet(yhat=yhat, valid=yhat != IGNORE,
+                            seed_uncertainty=rng.random((2, 64, 64)))
+    from_op = Tensor.__dict__["_from_op"].__func__
+    nodes = []
+
+    def counted(cls, data, parents, backward):
+        nodes.append(1)
+        return from_op(cls, data, parents, backward)
+
+    monkeypatch.setattr(Tensor, "_from_op", classmethod(counted))
+    loss, _ = total_loss(model.forward(rng.standard_normal((2, 3, 64, 64))), labels,
+                         use_sdf=False)
+    assert loss.requires_grad
+    assert len(nodes) <= 200, len(nodes)

@@ -341,3 +341,85 @@ def test_no_grad_restores_recording_after_an_exception():
             raise RuntimeError("inside")
     y = x * 2.0
     assert y.requires_grad and y._parents[0] is x
+
+
+# -- fused ops against the composites they replaced ----------------------------------
+# Each oracle is the chain of primitives the op used to record, with a
+# subtraction spelled as negation plus addition as it was. A fused op does
+# the same arithmetic forward, and backward replays the chain rule in the
+# chain's order, so values and gradients are bit-equal.
+
+
+def _softmax_composite(t, axis):
+    e = (t + (-Tensor(t.data.max(axis=axis, keepdims=True)))).exp()
+    return e / e.sum(axis=axis, keepdims=True)
+
+
+def _log_softmax_composite(t, axis):
+    z = t + (-Tensor(t.data.max(axis=axis, keepdims=True)))
+    return z + (-z.exp().sum(axis=axis, keepdims=True).log())
+
+
+def _grads(f, *leaves, weight):
+    for t in leaves:
+        t.zero_grad()
+    out = f(*leaves)
+    (out * weight).sum().backward()
+    return out.data, [t.grad for t in leaves]
+
+
+def _leaves(rng, *shapes, dtype=np.float64):
+    return [Tensor(rng.standard_normal(s).astype(dtype), requires_grad=True) for s in shapes]
+
+
+@pytest.mark.parametrize("fused,composite", [
+    (lambda t: softmax(t, 1), lambda t: _softmax_composite(t, 1)),
+    (lambda t: log_softmax(t, 1), lambda t: _log_softmax_composite(t, 1)),
+    (lambda t: softmax(t, 0), lambda t: _softmax_composite(t, 0)),
+    (lambda t: log_softmax(t, 0), lambda t: _log_softmax_composite(t, 0)),
+], ids=["softmax", "log_softmax", "softmax_axis0", "log_softmax_axis0"])
+def test_fused_softmax_equals_its_composite(fused, composite):
+    rng = np.random.default_rng(3)
+    (x,) = _leaves(rng, (3, 4, 5, 5))
+    x.data *= 4.0
+    weight = rng.standard_normal(x.shape)
+    out_f, (g_f,) = _grads(fused, x, weight=weight)
+    out_c, (g_c,) = _grads(composite, x, weight=weight)
+    np.testing.assert_array_equal(out_f, out_c)
+    np.testing.assert_array_equal(g_f, g_c)
+
+
+@pytest.mark.parametrize("fused,composite", [
+    (lambda a, b: a - b, lambda a, b: a + (-b)),
+    (lambda a, b: 1.5 - b * a, lambda a, b: Tensor(np.asarray(1.5)) + (-(b * a))),
+], ids=["sub", "rsub"])
+def test_fused_subtraction_equals_negate_plus_add(fused, composite):
+    rng = np.random.default_rng(4)
+    a, b = _leaves(rng, (3, 4), (3, 1))  # b broadcasts
+    weight = rng.standard_normal((3, 4))
+    out_f, g_f = _grads(fused, a, b, weight=weight)
+    out_c, g_c = _grads(composite, a, b, weight=weight)
+    np.testing.assert_array_equal(out_f, out_c)
+    for gf, gc in zip(g_f, g_c):
+        np.testing.assert_array_equal(gf, gc)
+
+
+def test_sigmoid_and_softplus_equal_the_three_exp_forms():
+    x = np.linspace(-40.0, 40.0, 101)
+    e = lambda: np.exp(-np.abs(x))  # noqa: E731
+    sig = np.where(x >= 0, 1.0 / (1.0 + e()), e() / (1.0 + e()))
+    np.testing.assert_array_equal(Tensor(x).sigmoid().data, sig)
+    np.testing.assert_array_equal(Tensor(x).softplus().data,
+                                  np.maximum(x, 0.0) + np.log1p(e()))
+
+
+@pytest.mark.parametrize("op", [
+    lambda t: softmax(t, 1), lambda t: log_softmax(t, 1), lambda t: t - t * t,
+    lambda t: 2.0 - t, lambda t: t.sigmoid(), lambda t: t.softplus(),
+], ids=["softmax", "log_softmax", "sub", "rsub", "sigmoid", "softplus"])
+def test_fused_ops_keep_float32(op):
+    (x,) = _leaves(np.random.default_rng(5), (2, 3, 4), dtype=np.float32)
+    out = op(x)
+    out.sum().backward()
+    assert out.data.dtype == np.float32
+    assert x.grad.dtype == np.float32
