@@ -34,12 +34,11 @@ print("max |Z* - Z| with a live tower:",
 # uncertainty -> loss weight: w = exp(-beta * U), U mixing normalized
 # aleatoric variance with prediction entropy
 zstar_up = bilinear_upsample(out.zstar, 64, 64)
-maps = mix_uncertainty(bilinear_upsample(out.u_ale, 64, 64), softmax(zstar_up, axis=1),
+u, w = mix_uncertainty(bilinear_upsample(out.u_ale, 64, 64), softmax(zstar_up, axis=1),
                        log_softmax(zstar_up, axis=1), alpha=0.5)
-w = np.exp(-2.0 * maps.u.data)
-print("\nmixed uncertainty range:", float(maps.u.data.min()),
-      "..", float(maps.u.data.max()))
+u, w = u.data, w.data
+print("\nmixed uncertainty range:", float(u.min()), "..", float(u.max()))
 print("loss-weight range (exp(-2U)):", float(w.min()), "..", float(w.max()))
-order = np.argsort(maps.u.data.ravel())
+order = np.argsort(u.ravel())
 print("weights fall as uncertainty rises:",
       bool(np.all(np.diff(w.ravel()[order]) <= 1e-12)))

@@ -130,7 +130,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    from .fileio import write_ctsr
+    from .fileio import IGNORE, write_ctsr
     from .metrics import score, write_csv
     from .model import SegModel
     from .synthdata import load_dataset
@@ -140,7 +140,7 @@ def cmd_eval(args) -> int:
     if not data:
         raise DataError(f"{args.data}: empty dataset")
     k = model.cfg.num_classes
-    if int(max(s.gt.max() for s in data)) >= k:
+    if any(np.any((s.gt != IGNORE) & (s.gt >= k)) for s in data):
         raise DataError("dataset classes exceed checkpoint class count")
     if args.dump_confidence:
         os.makedirs(args.dump_confidence, exist_ok=True)

@@ -55,7 +55,6 @@ class DecoderOutputs:
     z: Tensor                  # pre-refine logits [N,K,H/4,W/4]
     zstar: Tensor              # refined logits (== z when refinement is off)
     weights: Tensor | None     # fusion weights [N,4,H/4,W/4]; None for static fusion
-    fused: Tensor              # F
     sigma2: Tensor | None      # per-class variance
     u_ale: Tensor | None       # channel-mean variance [N,1,H/4,W/4]
     gate: Tensor | None
@@ -118,9 +117,6 @@ class DecoderParams:
 
     def __getitem__(self, name: str) -> Tensor:
         return self.tensors[name]
-
-    def __contains__(self, name: str) -> bool:
-        return name in self.tensors
 
 
 def channel_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
@@ -263,6 +259,5 @@ def decoder_forward(pyramid: FeaturePyramid, params: DecoderParams,
         # the boundary head taps the projected C1 stream, not the fused map
         edge_logits = boundary_branch(e_list[0], params)
 
-    return DecoderOutputs(z=z, zstar=zstar, weights=weights, fused=fused,
-                          sigma2=sigma2, u_ale=u_ale, gate=gate, delta=delta,
-                          edge_logits=edge_logits)
+    return DecoderOutputs(z=z, zstar=zstar, weights=weights, sigma2=sigma2,
+                          u_ale=u_ale, gate=gate, delta=delta, edge_logits=edge_logits)

@@ -28,18 +28,23 @@ def boundary_seeds(labels: np.ndarray) -> np.ndarray:
     return seeds
 
 
+def dilate_square(mask: np.ndarray, r: int) -> np.ndarray:
+    """Pixels within Chebyshev distance r of a True pixel of `mask`, [H,W]
+    or image by image in [N,H,W]; r <= 0 leaves the mask as it is."""
+    mask = np.asarray(mask, dtype=bool)
+    if r <= 0:
+        return mask
+    struct = np.ones((1,) * (mask.ndim - 2) + (2 * r + 1, 2 * r + 1), dtype=bool)
+    return ndimage.binary_dilation(mask, structure=struct)
+
+
 def boundary_band(labels: np.ndarray, width_px: int = 2) -> np.ndarray:
     """Class-agnostic band: pixels within Chebyshev distance < width_px of
     a boundary seed. Accepts [H,W] or [N,H,W]; returns the same rank."""
     lab = np.asarray(labels)
     if lab.ndim == 3:
         return np.stack([boundary_band(im, width_px) for im in lab])
-    seeds = boundary_seeds(lab)
-    if width_px <= 1:
-        return seeds.astype(np.uint8)
-    r = width_px - 1
-    struct = np.ones((2 * r + 1, 2 * r + 1), dtype=bool)
-    return ndimage.binary_dilation(seeds, structure=struct).astype(np.uint8)
+    return dilate_square(boundary_seeds(lab), width_px - 1).astype(np.uint8)
 
 
 def distance_to_set(mask: np.ndarray) -> np.ndarray:

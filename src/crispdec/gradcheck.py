@@ -180,7 +180,7 @@ def _loss_checks(rng) -> list[CheckResult]:
     ual = Tensor(rng.random((n, 1, 2, 2)) + 0.1, requires_grad=True)
     out.append(_check("mix_uncertainty_weight",
                       lambda u, z: (losses.mix_uncertainty(
-                          bilinear_upsample(u, h, w), softmax(z, 1), log_softmax(z, 1), 0.5).w
+                          bilinear_upsample(u, h, w), softmax(z, 1), log_softmax(z, 1), 0.5)[1]
                           * wmap.data).sum(), [ual, logits]))
     return out
 

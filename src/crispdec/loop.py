@@ -118,24 +118,20 @@ def ema_update(teacher: TeacherState, student_params: dict, tau: float) -> Teach
     return teacher
 
 
-def relabel(p_t: np.ndarray, u_t: np.ndarray, keep_fraction: float) -> PseudoLabelSet:
-    """Keep exactly ceil(keep_fraction * HW) lowest-uncertainty pixels of one
-    image (ties: earlier row-major index wins); argmax labels there, IGNORE
-    elsewhere."""
+def relabel(labels: np.ndarray, order: np.ndarray, keep_fraction: float) -> np.ndarray:
+    """The label map [H,W] at exactly ceil(keep_fraction * HW) pixels of
+    lowest `order` (ties: earlier row-major index wins), IGNORE elsewhere."""
     if not (0 < keep_fraction < 1):
         raise ValueError("keep_fraction must lie in (0,1)")
-    k_cls, h, w = p_t.shape
-    if u_t.shape != (h, w):
-        raise ValueError("probability/uncertainty shape mismatch")
-    n_keep = int(np.ceil(keep_fraction * h * w))
-    flat = u_t.reshape(-1)
+    if order.shape != labels.shape:
+        raise ValueError("label/order shape mismatch")
+    n_keep = int(np.ceil(keep_fraction * labels.size))
+    flat = order.reshape(-1)
     # every value below the n_keep-th smallest, then its ties by index
     cut = np.partition(flat, n_keep - 1)[n_keep - 1]
     keep = flat < cut
     keep[np.flatnonzero(flat == cut)[:n_keep - np.count_nonzero(keep)]] = True
-    yhat = np.where(keep, p_t.reshape(k_cls, -1).argmax(axis=0), IGNORE)
-    return PseudoLabelSet(yhat=yhat.reshape(1, h, w), valid=keep.reshape(1, h, w),
-                          seed_uncertainty=u_t[None].copy())
+    return np.where(keep.reshape(labels.shape), labels, IGNORE)
 
 
 def unconfirmed_classes(p: np.ndarray, hard: np.ndarray) -> np.ndarray:
@@ -147,34 +143,30 @@ def unconfirmed_classes(p: np.ndarray, hard: np.ndarray) -> np.ndarray:
 
 
 def protect_classes(p: np.ndarray, u: np.ndarray, labels: np.ndarray,
-                    hard: np.ndarray | None = None,
-                    held: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+                    hard: np.ndarray, held: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Inputs for `relabel` that keep the teacher from erasing a class.
 
     p [N,K,H,W] and u [N,H,W] are the teacher's probabilities and
     uncertainty over a whole label set; labels [N,H,W] are the labels they
-    replace (IGNORE allowed). Returns (scores, order), shaped like p and u,
-    to pass to `relabel` image by image.
+    replace (IGNORE allowed); `hard` = p.argmax(axis=1) and `held` =
+    unconfirmed_classes(p, hard). Returns (new labels, order), both shaped
+    like u, to pass to `relabel` image by image.
 
     The teacher cannot confirm class c when its argmax keeps less than 1/K
     of the probability mass it puts on c: it sees the class but almost never
     ranks it first, and argmax relabeling would erase it (the confirmation
     bias of pseudo-labeling, Arazo et al. 2020). Pixels labeled with such a
     class keep their label; every other pixel takes the teacher's argmax.
-    `scores` is the one-hot of that result. `order` is u ranked within each
-    class of the result and scaled to [0,1), plus 1 where the result
-    contradicts a current label (an IGNORE pixel has none to contradict),
-    so relabel's cut drops contradicted pixels first and takes the same
-    share of every class (class-balanced selection, Zou et al. 2018)
-    instead of most of a minority class whose pixels are all uncertain.
-    A caller that has them passes `hard` = p.argmax(axis=1) and `held` =
-    unconfirmed_classes(p, hard).
+    `order` is u ranked within each class of the new labels and scaled to
+    [0,1), plus 1 where they contradict a current label (an IGNORE pixel
+    has none to contradict), so relabel's cut drops contradicted pixels
+    first and takes the same share of every class (class-balanced
+    selection, Zou et al. 2018) instead of most of a minority class whose
+    pixels are all uncertain.
     """
     n, k = p.shape[:2]
     if u.shape != (n, *p.shape[2:]) or labels.shape != u.shape:
         raise ValueError("probability/uncertainty/label shape mismatch")
-    hard = p.argmax(axis=1) if hard is None else hard
-    held = unconfirmed_classes(p, hard) if held is None else held
     cls = np.where(np.isin(labels, held), labels, hard).reshape(-1)
     # by class, then u, ties by index; narrow class keys sort by radix
     idx = np.argsort(u.reshape(-1), kind="stable")
@@ -185,8 +177,7 @@ def protect_classes(p: np.ndarray, u: np.ndarray, labels: np.ndarray,
     order = (pos - (np.cumsum(counts) - counts)[cls]) / counts[cls]
     flat = labels.reshape(-1)
     order += (cls != flat) & (flat != IGNORE)
-    scores = np.arange(k)[None, :, None, None] == cls.reshape(labels.shape)[:, None]
-    return scores, order.reshape(u.shape)
+    return cls.reshape(u.shape), order.reshape(u.shape)
 
 
 def teacher_predict(model: SegModel, teacher: TeacherState,
@@ -203,7 +194,7 @@ def teacher_predict(model: SegModel, teacher: TeacherState,
             zstar_up = bilinear_upsample(out.zstar, h, w)
             p = softmax(zstar_up, axis=1)
             u_up = None if out.u_ale is None else bilinear_upsample(out.u_ale, h, w)
-            u = mix_uncertainty(u_up, p, log_softmax(zstar_up, axis=1), ALPHA).u
+            u, _ = mix_uncertainty(u_up, p, log_softmax(zstar_up, axis=1), ALPHA)
     finally:
         model.load_state_dict(student_state)
     return p.data, u.data[:, 0]
@@ -230,9 +221,10 @@ def relabel_all(model: SegModel, teacher: TeacherState, data: list,
     before = np.concatenate([s.seed.yhat for s in data])
     hard = p.argmax(axis=1)
     held = unconfirmed_classes(p, hard)
-    scores, order = protect_classes(p, u, before, hard, held)
-    for s, sc, o, ui in zip(data, scores, order, u):
-        s.seed = replace(relabel(sc, o, keep_fraction), seed_uncertainty=ui[None])
+    labels, order = protect_classes(p, u, before, hard, held)
+    for s, lab, o, ui in zip(data, labels, order, u):
+        yhat = relabel(lab, o, keep_fraction)
+        s.seed = PseudoLabelSet(yhat=yhat, valid=yhat != IGNORE, seed_uncertainty=ui)
     after = np.concatenate([s.seed.yhat for s in data])
     gt = np.stack([s.gt for s in data])
     return {"kept_fraction": float((after != IGNORE).mean()),

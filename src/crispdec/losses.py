@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fileio import IGNORE
-from .geometry import PHI_SENTINEL, boundary_band, signed_distance
+from .geometry import PHI_SENTINEL, boundary_band, dilate_square, signed_distance
 from .tensor import Tensor, _sigmoid, bilinear_upsample, log_softmax, softmax
 
 DICE_SMOOTH = 1.0
@@ -52,14 +52,6 @@ class PseudoLabelSet:
             raise ValueError("label/mask/uncertainty shapes disagree")
         if np.any(self.valid & (self.yhat == IGNORE)):
             raise ValueError("valid mask must be 0 on IGNORE pixels")
-
-
-@dataclass
-class UncertaintyMaps:
-    u_ale_up: Tensor | None   # upsampled + per-image min-max normalized
-    u_ent: Tensor      # normalized prediction entropy
-    u: Tensor          # mixed
-    w: Tensor          # exp(-beta * u)
 
 
 def _targets(labels: PseudoLabelSet, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -114,20 +106,16 @@ def _minmax_normalize(u: Tensor) -> Tensor:
     return (u - lo) / (rng + _MINMAX_TINY)
 
 
-def mix_uncertainty(u_up: Tensor | None, p: Tensor, logp: Tensor, alpha: float,
-                    beta: float = BETA) -> UncertaintyMaps:
+def mix_uncertainty(u_up: Tensor | None, p: Tensor, logp: Tensor,
+                    alpha: float) -> tuple[Tensor, Tensor]:
     """Blend the normalized upsampled aleatoric map `u_up` with the
-    normalized entropy of the probabilities `p` (log-probabilities `logp`),
-    then map to pixel weights w = exp(-beta * U). With `u_up` None (no
-    variance head) U is the normalized entropy alone."""
-    ent = -(p * logp).sum(axis=1, keepdims=True)
-    u_ent = _minmax_normalize(ent)
-    if u_up is None:
-        u_ale_up, u = None, u_ent
-    else:
-        u_ale_up = _minmax_normalize(u_up)
-        u = alpha * u_ale_up + (1.0 - alpha) * u_ent
-    return UncertaintyMaps(u_ale_up=u_ale_up, u_ent=u_ent, u=u, w=(-beta * u).exp())
+    normalized entropy of the probabilities `p` (log-probabilities `logp`)
+    into U, and map U to pixel weights w = exp(-BETA * U); returns (U, w).
+    With `u_up` None (no variance head) U is the normalized entropy alone."""
+    u = _minmax_normalize(-(p * logp).sum(axis=1, keepdims=True))
+    if u_up is not None:
+        u = alpha * _minmax_normalize(u_up) + (1.0 - alpha) * u
+    return u, (-BETA * u).exp()
 
 
 def heteroscedastic_loss(logp: Tensor, labels: PseudoLabelSet,
@@ -182,12 +170,9 @@ def boundary_loss(e_log_up: Tensor, band: np.ndarray, supervised=None) -> Tensor
 
 def sdf_loss(p: Tensor, yhat: np.ndarray) -> Tensor:
     """Mean over pixels of ||forward-diff grad of the probabilities p||_1
-    weighted by the distance to the label boundary; images with no boundary
-    contribute 0."""
+    weighted by the distance to the boundary of the labels yhat [N,H,W];
+    images with no boundary contribute 0."""
     n, k, h, w = p.shape
-    yhat = np.asarray(yhat)
-    if yhat.ndim == 2:
-        yhat = yhat[None]
     phi = np.empty((n, 1, h, w))
     for i in range(n):
         d = np.abs(signed_distance(yhat[i]))
@@ -220,7 +205,7 @@ def total_loss(outputs, labels: PseudoLabelSet, use_sdf: bool) -> tuple[Tensor, 
     wmap, mean_w = None, 1.0
     if outputs.u_ale is not None:
         u_up = bilinear_upsample(outputs.u_ale, h, w)
-        wmap = mix_uncertainty(u_up, p, logp, ALPHA).w
+        _, wmap = mix_uncertainty(u_up, p, logp, ALPHA)
         mean_w = float(wmap.data.mean())
 
     l_ce = masked_ce(logp, labels, wmap)
@@ -240,14 +225,10 @@ def total_loss(outputs, labels: PseudoLabelSet, use_sdf: bool) -> tuple[Tensor, 
         sup = None
         ign = labels.yhat == IGNORE
         if ign.any():
-            from scipy import ndimage
-            struct = np.ones((2 * BAND_PX + 1, 2 * BAND_PX + 1), dtype=bool)
-            sup = np.stack([~ndimage.binary_dilation(im, structure=struct)
-                            for im in ign])
             # band pixels come from observed label transitions and stay
             # supervised even near IGNORE; only "no boundary" claims are
             # unknowable next to unlabeled pixels
-            sup = (sup | band.astype(bool)).astype(np.uint8)
+            sup = (~dilate_square(ign, BAND_PX) | band.astype(bool)).astype(np.uint8)
         l_bnd = boundary_loss(e_up, band[:, None], None if sup is None else sup[:, None])
         total = total + LAMBDA_BND * l_bnd
 

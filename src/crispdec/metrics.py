@@ -11,7 +11,7 @@ import numpy as np
 from scipy import ndimage
 
 from .fileio import IGNORE, read_ctsr, read_pgm
-from .geometry import boundary_seeds
+from .geometry import boundary_seeds, dilate_square
 
 
 def confusion_matrix(pred: np.ndarray, gt: np.ndarray, k: int) -> np.ndarray:
@@ -45,11 +45,7 @@ def miou(pred: np.ndarray, gt: np.ndarray, k: int) -> tuple[np.ndarray, float]:
 def _chebyshev_hit(points: np.ndarray, targets: np.ndarray, band_px: int) -> np.ndarray:
     """For each True pixel in `points`, whether a True pixel of `targets`
     lies within Chebyshev distance < band_px."""
-    r = band_px - 1
-    if r > 0:
-        struct = np.ones((2 * r + 1, 2 * r + 1), dtype=bool)
-        targets = ndimage.binary_dilation(targets, structure=struct)
-    return points & targets
+    return points & dilate_square(targets, band_px - 1)
 
 
 def boundary_f1(pred: np.ndarray, gt: np.ndarray, band_px: int = 2) -> float:

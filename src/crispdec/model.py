@@ -62,8 +62,6 @@ class SegModel:
 
     def forward(self, images: np.ndarray, detach_p: bool = False):
         x = Tensor(np.asarray(images, dtype=self.params_dtype()))
-        if x.data.ndim == 3:
-            x = Tensor(x.data[None])
         pyramid = toy_encoder_forward(x, self.encoder)
         return decoder_forward(pyramid, self.decoder, detach_p=detach_p)
 

@@ -14,7 +14,7 @@ import numpy as np
 from scipy import ndimage
 
 from .decoder import ENCODER_CHANNELS, FeaturePyramid
-from .fileio import IGNORE, write_ctsr, write_pgm
+from .fileio import IGNORE, FormatError, write_ctsr, write_pgm
 from .geometry import boundary_seeds, distance_to_set
 from .losses import PseudoLabelSet
 from .tensor import Tensor, conv2d
@@ -151,13 +151,11 @@ def build_ignore_mask(seed_uncertainty: np.ndarray, q_percent: float) -> np.ndar
         u = u[None]
     n, h, w = u.shape
     k = int(np.ceil(q_percent / 100.0 * h * w))
-    m = np.ones((n, h, w), dtype=np.uint8)
-    if k > 0:
-        flat = u.reshape(n, -1)
-        idx = np.arange(h * w)
-        for i in range(n):
-            order = np.lexsort((idx, flat[i]))  # ascending u, ties ascending index
-            m[i].reshape(-1)[order[-k:]] = 0
+    m = np.ones((n, h * w), dtype=np.uint8)
+    # ascending u, ties ascending index: the last k are masked
+    order = np.argsort(u.reshape(n, -1), axis=1, kind="stable")
+    np.put_along_axis(m, order[:, h * w - k:], 0, axis=1)
+    m = m.reshape(n, h, w)
     return m[0] if squeeze else m
 
 
@@ -303,11 +301,15 @@ def load_dataset(directory) -> list:
     manifest = os.path.join(directory, "manifest.txt")
     samples = []
     with open(manifest) as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            _stem, img_f, gt_f, seed_f, unc_f = line.split("\t")
+            fields = line.split("\t")
+            if len(fields) != 5:
+                raise FormatError(f"{manifest}:{lineno}: expected 5 tab-separated "
+                                  f"fields, got {len(fields)}")
+            _stem, img_f, gt_f, seed_f, unc_f = fields
             image = read_ctsr(os.path.join(directory, img_f))
             gt = read_pgm(os.path.join(directory, gt_f))
             seed_lab = read_pgm(os.path.join(directory, seed_f)).astype(np.int64)

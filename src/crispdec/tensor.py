@@ -52,8 +52,8 @@ class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
     _recording = True  # off inside `no_grad`
 
-    def __init__(self, data, requires_grad: bool = False, dtype=None):
-        arr = np.asarray(data, dtype=dtype)
+    def __init__(self, data, requires_grad: bool = False):
+        arr = np.asarray(data)
         if arr.dtype not in (np.float32, np.float64):
             arr = arr.astype(np.float64)
         self.data = arr
@@ -201,9 +201,6 @@ class Tensor:
 
         return Tensor._from_op(a.data / b.data, (a, b), bwd)
 
-    def __rtruediv__(self, other):
-        return self._coerce(other) / self
-
     def __getitem__(self, idx):
         a = self
 
@@ -213,17 +210,6 @@ class Tensor:
             a._accumulate(full)
 
         return Tensor._from_op(a.data[idx], (a,), bwd)
-
-    def reshape(self, *shape):
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
-        a = self
-        old = a.shape
-
-        def bwd(g):
-            a._accumulate(g.reshape(old))
-
-        return Tensor._from_op(a.data.reshape(shape), (a,), bwd)
 
     # -- pointwise nonlinearities ------------------------------------------------
 
@@ -317,23 +303,16 @@ class Tensor:
         counts = mask.sum(axis=axis, keepdims=True)
 
         def bwd(g):
-            if axis is None:
-                gk = np.asarray(g).reshape((1,) * a.data.ndim)
-            elif not keepdims:
-                gk = np.expand_dims(g, axis)
-            else:
-                gk = g
+            gk = g if keepdims else np.expand_dims(g, axis)
             a._accumulate(mask * (gk / counts))
 
-        out = out_data if keepdims else (
-            out_data.reshape(()) if axis is None else np.squeeze(out_data, axis=axis)
-        )
+        out = out_data if keepdims else np.squeeze(out_data, axis=axis)
         return Tensor._from_op(out, (a,), bwd)
 
-    def max(self, axis=None, keepdims: bool = False):
+    def max(self, axis, keepdims: bool = False):
         return self._extreme(axis, keepdims, np.max)
 
-    def min(self, axis=None, keepdims: bool = False):
+    def min(self, axis, keepdims: bool = False):
         return self._extreme(axis, keepdims, np.min)
 
 

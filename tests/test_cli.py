@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from crispdec.cli import EXIT_CHECK, EXIT_DATA, EXIT_OK, EXIT_USAGE, main
-from crispdec.fileio import read_ctsr, write_pgm
+from crispdec.fileio import IGNORE, read_ctsr, read_pgm, write_pgm
 from crispdec.loop import RELABEL_COLUMNS
 
 
@@ -237,6 +237,50 @@ def test_eval_dumps_confidence_maps(tmp_path, trained):
     conf = read_ctsr(conf_dir / "00000.ctsr")
     assert conf.shape == (64, 64)
     assert conf.min() >= 0.0 and conf.max() <= 1.0
+
+
+def copy_dataset_with_gt(data, dest, value):
+    """A copy of the dataset whose first ground-truth mask has 5 pixels of `value`."""
+    shutil.copytree(data, dest)
+    gt_file = (dest / "manifest.txt").read_text().splitlines()[1].split("\t")[2]
+    gt = read_pgm(dest / gt_file).copy()
+    gt[0, :5] = value
+    write_pgm(dest / gt_file, gt)
+    return dest
+
+
+def test_eval_scores_ground_truth_with_ignore_pixels(tmp_path, trained):
+    data, run = trained
+    ign = copy_dataset_with_gt(data, tmp_path / "ign", IGNORE)
+    out = tmp_path / "s.csv"
+    assert main(["eval", "--checkpoint", str(run / "checkpoint"),
+                 "--data", str(ign), "--out", str(out)]) == EXIT_OK
+    assert len(out.read_text().splitlines()) == 1 + 4 + 1
+
+
+def test_eval_rejects_a_class_beyond_the_checkpoint(tmp_path, trained, capsys):
+    data, run = trained
+    bad = copy_dataset_with_gt(data, tmp_path / "bad", 4)  # the checkpoint has K=4
+    assert main(["eval", "--checkpoint", str(run / "checkpoint"),
+                 "--data", str(bad), "--out", str(tmp_path / "s.csv")]) == EXIT_DATA
+    assert "exceed checkpoint class count" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_malformed_dataset_manifest_line_is_a_data_error(tmp_path, trained, capsys,
+                                                         command):
+    data, run = trained
+    bad = tmp_path / "bad"
+    shutil.copytree(data, bad)
+    manifest = bad / "manifest.txt"
+    lines = manifest.read_text().splitlines()
+    lines[2] = lines[2].split("\t")[0] + "\tonly-two-fields"
+    manifest.write_text("\n".join(lines) + "\n")
+    out = ["--out", str(tmp_path / "out")]
+    argv = (["train", "--data", str(bad), "--epochs", "1", *out] if command == "train"
+            else ["eval", "--checkpoint", str(run / "checkpoint"), "--data", str(bad), *out])
+    assert main(argv) == EXIT_DATA
+    assert f"{manifest}:3: expected 5 tab-separated fields, got 2" in capsys.readouterr().err
 
 
 def test_eval_missing_checkpoint(tmp_path, trained):

@@ -7,6 +7,7 @@ from crispdec.geometry import (
     PHI_SENTINEL,
     boundary_band,
     boundary_seeds,
+    dilate_square,
     distance_to_set,
     signed_distance,
 )
@@ -101,6 +102,20 @@ def test_boundary_band_batched_matches_per_image():
     batched = boundary_band(labs, 2)
     for i in range(3):
         np.testing.assert_array_equal(batched[i], boundary_band(labs[i], 2))
+
+
+def test_dilate_square_is_a_chebyshev_ball_per_image():
+    """[N,H,W] dilates each image alone, as the brute-force Chebyshev ball."""
+    rng = np.random.default_rng(3)
+    masks = rng.random((3, 9, 9)) < 0.05
+    masks[1] = False  # stays empty between its neighbours
+    pts = [np.argwhere(m) for m in masks]
+    for r in (0, 1, 2):
+        out = dilate_square(masks, r)
+        for m, p, o in zip(masks, pts, out):
+            np.testing.assert_array_equal(o, dilate_square(m, r))
+            for (i, j), hit in np.ndenumerate(o):
+                assert hit == bool(len(p) and np.abs(p - (i, j)).max(axis=1).min() <= r)
 
 
 def test_signed_distance_binary_disk_signs():

@@ -23,6 +23,7 @@ from crispdec.loop import (
     relabel_all,
     teacher_predict,
     train,
+    unconfirmed_classes,
 )
 from crispdec.losses import total_loss
 from crispdec.model import ModelConfig, SegModel
@@ -36,6 +37,12 @@ def tiny_model(seed=0, **kwargs):
 
 def tiny_data(n=4, seed=11):
     return make_dataset(n, SceneSpec(seed=seed), CorruptionSpec())
+
+
+def protect(p, u, labels):
+    """protect_classes with the argmax and held classes relabel_all passes."""
+    hard = p.argmax(axis=1)
+    return protect_classes(p, u, labels, hard, unconfirmed_classes(p, hard))
 
 
 # --- config ---------------------------------------------------------------
@@ -165,30 +172,30 @@ def test_relabel_exact_keep_count():
     p = rng.random((4, 8, 8))
     u = rng.random((8, 8))
     for keep in (0.1, 0.33, 0.8, 0.99):
-        out = relabel(p, u, keep)
+        out = relabel(p.argmax(0), u, keep)
         n_keep = int(np.ceil(keep * 64))
-        assert (out.valid == 1).sum() == n_keep
-        assert (out.yhat == IGNORE).sum() == 64 - n_keep
+        assert (out != IGNORE).sum() == n_keep
+        assert (out == IGNORE).sum() == 64 - n_keep
 
 
 def test_relabel_keeps_lowest_uncertainty():
     p = np.zeros((2, 4, 4))
     p[1] = 1.0  # argmax is class 1 everywhere
     u = np.arange(16.0).reshape(4, 4)
-    out = relabel(p, u, 0.5)
-    np.testing.assert_array_equal(out.valid.reshape(-1)[:8], 1)
-    np.testing.assert_array_equal(out.valid.reshape(-1)[8:], 0)
-    np.testing.assert_array_equal(out.yhat.reshape(-1)[:8], 1)
-    np.testing.assert_array_equal(out.yhat.reshape(-1)[8:], IGNORE)
+    out = relabel(p.argmax(0), u, 0.5)
+    np.testing.assert_array_equal((out != IGNORE).reshape(-1)[:8], 1)
+    np.testing.assert_array_equal((out != IGNORE).reshape(-1)[8:], 0)
+    np.testing.assert_array_equal(out.reshape(-1)[:8], 1)
+    np.testing.assert_array_equal(out.reshape(-1)[8:], IGNORE)
 
 
 def test_relabel_ties_prefer_earlier_index():
     p = np.zeros((2, 4, 4))
     u = np.zeros((4, 4))  # all tied
-    out = relabel(p, u, 0.25)
+    out = relabel(p.argmax(0), u, 0.25)
     n_keep = int(np.ceil(0.25 * 16))
-    np.testing.assert_array_equal(out.valid.reshape(-1)[:n_keep], 1)
-    np.testing.assert_array_equal(out.valid.reshape(-1)[n_keep:], 0)
+    np.testing.assert_array_equal((out != IGNORE).reshape(-1)[:n_keep], 1)
+    np.testing.assert_array_equal((out != IGNORE).reshape(-1)[n_keep:], 0)
 
 
 @pytest.mark.parametrize("decimals", [0, 1, 8])
@@ -200,8 +207,8 @@ def test_relabel_and_protect_classes_equal_their_lexsort_oracles(decimals):
     p /= p.sum(axis=1, keepdims=True)
     u = np.round(rng.random((3, 8, 8)), decimals)
     labels = np.where(rng.random((3, 8, 8)) < 0.2, IGNORE, rng.integers(0, 4, (3, 8, 8)))
-    scores, order = protect_classes(p, u, labels)
-    cls = scores.argmax(axis=1).reshape(-1)
+    new, order = protect(p, u, labels)
+    cls = new.reshape(-1)
     idx = np.lexsort((u.reshape(-1), cls))
     rank = np.empty(cls.size)
     rank[idx] = np.arange(cls.size)
@@ -212,28 +219,28 @@ def test_relabel_and_protect_classes_equal_their_lexsort_oracles(decimals):
     np.testing.assert_array_equal(order.reshape(-1), expect)
     for i in range(3):
         for keep in (0.1, 0.5, 0.77):
-            out = relabel(p[i], u[i], keep)
+            out = relabel(p[i].argmax(0), u[i], keep)
             flat_u = u[i].reshape(-1)
             kept = np.lexsort((np.arange(flat_u.size), flat_u))[:int(np.ceil(keep * 64))]
             valid = np.zeros(64, dtype=np.uint8)
             valid[kept] = 1
-            np.testing.assert_array_equal(out.valid.reshape(-1), valid)
+            np.testing.assert_array_equal(out.reshape(-1) != IGNORE, valid)
 
 
 def test_relabel_labels_are_argmax():
     rng = np.random.default_rng(1)
     p = rng.random((4, 6, 6))
     u = rng.random((6, 6))
-    out = relabel(p, u, 0.9)
-    kept = out.valid[0] == 1
-    np.testing.assert_array_equal(out.yhat[0][kept], p.argmax(axis=0)[kept])
+    out = relabel(p.argmax(axis=0), u, 0.9)
+    kept = out != IGNORE
+    np.testing.assert_array_equal(out[kept], p.argmax(axis=0)[kept])
 
 
 def test_relabel_validates_inputs():
     with pytest.raises(ValueError):
-        relabel(np.zeros((2, 4, 4)), np.zeros((3, 3)), 0.5)
+        relabel(np.zeros((4, 4), dtype=np.int64), np.zeros((3, 3)), 0.5)
     with pytest.raises(ValueError):
-        relabel(np.zeros((2, 4, 4)), np.zeros((4, 4)), 1.0)
+        relabel(np.zeros((4, 4), dtype=np.int64), np.zeros((4, 4)), 1.0)
 
 
 def _minority_scene():
@@ -253,23 +260,23 @@ def _minority_scene():
 def test_protect_classes_keeps_a_class_the_teacher_never_ranks_first():
     p, u, labels = _minority_scene()
     assert not (p.argmax(axis=1) == 2).any()
-    scores, order = protect_classes(p, u, labels)
+    new, order = protect(p, u, labels)
     for i in range(2):
-        plain = relabel(p[i], u[i], 0.9)
-        assert not (plain.yhat == 2).any()  # argmax relabeling erases the bar
-        out = relabel(scores[i], order[i], 0.9)
-        assert (out.valid == 1).sum() == int(np.ceil(0.9 * 64))
-        kept = out.valid[0] == 1
-        np.testing.assert_array_equal(out.yhat[0][kept], labels[i][kept])
-        assert (out.yhat[0] == 2).sum() >= 5  # the cut may take one bar pixel
+        plain = relabel(p[i].argmax(0), u[i], 0.9)
+        assert not (plain == 2).any()  # argmax relabeling erases the bar
+        out = relabel(new[i], order[i], 0.9)
+        assert (out != IGNORE).sum() == int(np.ceil(0.9 * 64))
+        kept = out != IGNORE
+        np.testing.assert_array_equal(out[kept], labels[i][kept])
+        assert (out == 2).sum() >= 5  # the cut may take one bar pixel
 
 
 def test_protect_classes_leaves_confirmed_classes_to_the_teacher():
     p, u, labels = _minority_scene()
     labels[0, 7, 7] = 1  # a class-1 label the teacher contradicts
     u[0, 7, 7] = 0.0
-    scores, order = protect_classes(p, u, labels)
-    assert scores[0, :, 7, 7].argmax() == 0
+    new, order = protect(p, u, labels)
+    assert new[0, 7, 7] == 0
     assert order[0, 7, 7] == order.max() >= 1.0  # dropped first
     assert (order[0] < 1.0).sum() == 63  # every other pixel agrees
 
@@ -278,27 +285,27 @@ def test_protect_classes_does_not_count_ignore_as_a_contradiction():
     p, u, labels = _minority_scene()
     labels[0, 7, :4] = IGNORE  # dropped by an earlier relabel
     labels[0, 7, 7] = 1  # a class-1 label the teacher contradicts
-    scores, order = protect_classes(p, u, labels)
-    np.testing.assert_array_equal(scores[0, :, 7, :4].argmax(axis=0), 0)
+    new, order = protect(p, u, labels)
+    np.testing.assert_array_equal(new[0, 7, :4], 0)
     assert (order[0, 7, :4] < 1.0).all()
     assert (order >= 1.0).sum() == 1 and order[0, 7, 7] >= 1.0
 
 
 def test_protect_classes_second_relabel_drops_new_contradictions_first():
     p, u, labels = _minority_scene()
-    scores, order = protect_classes(p, u, labels)
-    first = np.concatenate([relabel(scores[i], order[i], 0.9).yhat for i in range(2)])
+    new, order = protect(p, u, labels)
+    first = np.stack([relabel(new[i], order[i], 0.9) for i in range(2)])
     assert (first == IGNORE).any()
     # the teacher now contradicts one pixel that the first relabel kept
     r, c = np.argwhere(first[0] == 0)[0]
     p[0, :, r, c] = [0.05, 0.9, 0.05]
-    scores, order = protect_classes(p, u, first)
+    new, order = protect(p, u, first)
     assert (order >= 1.0).sum() == 1 and order[0, r, c] >= 1.0
-    outs = [relabel(scores[i], order[i], 0.9) for i in range(2)]
-    assert outs[0].yhat[0, r, c] == IGNORE
+    outs = [relabel(new[i], order[i], 0.9) for i in range(2)]
+    assert outs[0][r, c] == IGNORE
     for i, out in enumerate(outs):
         # the bar is still held: no kept pixel of it changes class
-        bar = out.yhat[0] == 2
+        bar = out == 2
         assert bar.sum() >= 4 and (first[i][bar] == 2).all()
 
 
@@ -403,9 +410,9 @@ def test_relabel_log_leaves_the_training_bytes_alone(tmp_path):
 def test_protect_classes_validates_inputs():
     p, u, labels = _minority_scene()
     with pytest.raises(ValueError):
-        protect_classes(p, u[:, :4], labels)
+        protect(p, u[:, :4], labels)
     with pytest.raises(ValueError):
-        protect_classes(p, u, labels[:1])
+        protect(p, u, labels[:1])
 
 
 # --- AdamW ----------------------------------------------------------------

@@ -177,31 +177,33 @@ def test_heteroscedastic_high_variance_discounts_ce():
 
 
 def test_mix_weight_closed_forms():
-    # U=1 at beta=2 -> w=e^-2; U=0 -> w=1
+    # U=1 at BETA=2 -> w=e^-2; U=0 -> w=1
     u = Tensor(np.array([[[[0.0, 1.0]]]]))
     z = Tensor(np.zeros((1, 2, 1, 2)))
-    maps = mix_uncertainty(u, softmax(z, 1), log_softmax(z, 1), alpha=1.0, beta=2.0)
-    np.testing.assert_allclose(maps.w.data[0, 0, 0], [1.0, np.exp(-2.0)], atol=1e-9)
+    _, w = mix_uncertainty(u, softmax(z, 1), log_softmax(z, 1), alpha=1.0)
+    np.testing.assert_allclose(w.data[0, 0, 0], [1.0, np.exp(-2.0)], atol=1e-9)
 
 
 def test_mix_degenerate_constant_maps_give_w_one():
     # uniform logits and constant aleatoric map: both normalized maps zero
     u = Tensor(np.full((1, 1, 2, 2), 3.3))
     z = Tensor(np.zeros((1, 2, 2, 2)))
-    maps = mix_uncertainty(u, softmax(z, 1), log_softmax(z, 1), alpha=0.5)
-    np.testing.assert_array_equal(maps.u.data, 0.0)
-    np.testing.assert_array_equal(maps.w.data, 1.0)
+    mixed, w = mix_uncertainty(u, softmax(z, 1), log_softmax(z, 1), alpha=0.5)
+    np.testing.assert_array_equal(mixed.data, 0.0)
+    np.testing.assert_array_equal(w.data, 1.0)
 
 
 def test_mix_normalized_maps_in_unit_interval():
     rng = np.random.default_rng(5)
     u = Tensor(rng.random((2, 1, 4, 4)) * 7.0)
     z = Tensor(rng.standard_normal((2, 3, 8, 8)))
-    maps = mix_uncertainty(bilinear_upsample(u, 8, 8), softmax(z, 1), log_softmax(z, 1),
-                           alpha=0.5)
-    for m in (maps.u_ale_up, maps.u_ent, maps.u):
+    u_up, p, logp = bilinear_upsample(u, 8, 8), softmax(z, 1), log_softmax(z, 1)
+    mixed, w = mix_uncertainty(u_up, p, logp, alpha=0.5)
+    # the two normalized maps that mix_uncertainty blends, and the blend
+    for m in (losses._minmax_normalize(u_up),
+              losses._minmax_normalize(-(p * logp).sum(axis=1, keepdims=True)), mixed):
         assert m.data.min() >= 0.0 and m.data.max() <= 1.0 + 1e-9
-    assert maps.w.data.min() > 0.0 and maps.w.data.max() <= 1.0
+    assert w.data.min() > 0.0 and w.data.max() <= 1.0
 
 
 def test_boundary_loss_perfect_logits_small():
@@ -232,8 +234,8 @@ def test_boundary_loss_matches_manual_bce():
 
 
 def test_sdf_loss_zero_for_constant_probabilities():
-    y = np.zeros((4, 4), dtype=int)
-    y[:2] = 1
+    y = np.zeros((1, 4, 4), dtype=int)
+    y[0, :2] = 1
     p = Tensor(np.full((1, 2, 4, 4), 0.5))
     np.testing.assert_allclose(float(sdf_loss(p, y).data), 0.0, atol=1e-12)
 

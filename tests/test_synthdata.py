@@ -1,8 +1,10 @@
+import re
+
 import numpy as np
 import pytest
 from scipy import ndimage
 
-from crispdec.fileio import IGNORE
+from crispdec.fileio import IGNORE, FormatError
 from crispdec.synthdata import (
     ENCODER_CHANNELS,
     CorruptionSpec,
@@ -130,6 +132,22 @@ def test_ignore_mask_batched():
     assert m.shape == (3, 4, 4)
     for i in range(3):
         np.testing.assert_array_equal(m[i], build_ignore_mask(u[i], 30.0))
+
+
+@pytest.mark.parametrize("decimals", [0, 1, 2])
+def test_ignore_mask_equals_its_lexsort_oracle_on_ties(decimals):
+    """One stable argsort over the batch masks what a per-image lexsort
+    (ascending u, ties by index) masks last, ties included."""
+    rng = np.random.default_rng(decimals)
+    u = np.round(rng.random((5, 9, 7)), decimals)  # rounding makes many ties
+    idx = np.arange(63)
+    for q in (0.0, 1.0, 15.0, 30.0, 50.0, 99.0):
+        k = int(np.ceil(q / 100.0 * 63))
+        expect = np.ones((5, 63), dtype=np.uint8)
+        for i in range(5):
+            if k:
+                expect[i, np.lexsort((idx, u[i].reshape(-1)))[-k:]] = 0
+        np.testing.assert_array_equal(build_ignore_mask(u, q), expect.reshape(5, 9, 7))
 
 
 def test_corrupt_zero_spec_is_identity():
@@ -262,3 +280,13 @@ def test_dataset_hash_sensitive_to_seed(tmp_path):
 def test_empty_dataset_manifest(tmp_path):
     export_dataset(tmp_path / "e", [])
     assert load_dataset(tmp_path / "e") == []
+
+
+def test_load_dataset_names_a_malformed_manifest_line(tmp_path):
+    export_dataset(tmp_path, make_dataset(2, SceneSpec(seed=3), CorruptionSpec()))
+    manifest = tmp_path / "manifest.txt"
+    lines = manifest.read_text().splitlines()
+    lines[2] = lines[2].split("\t")[0] + "\timage.ctsr"
+    manifest.write_text("\n".join(lines) + "\n")
+    with pytest.raises(FormatError, match=re.escape(f"{manifest}:3: expected 5")):
+        load_dataset(tmp_path)
