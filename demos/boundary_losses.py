@@ -6,7 +6,7 @@ import numpy as np
 
 from crispdec.geometry import boundary_band, boundary_seeds, distance_to_set, \
     signed_distance
-from crispdec.losses import boundary_loss, sdf_loss
+from crispdec.losses import boundary_loss, sdf_loss, surface_weights
 from crispdec.tensor import Tensor, softmax
 
 labels = np.zeros((32, 32), dtype=np.int64)
@@ -39,8 +39,9 @@ def probs_from(mask, k=2):
     z = np.stack([(mask == c) * 8.0 for c in range(k)])
     return softmax(Tensor(z[None].astype(np.float64)), axis=1)
 
-tight = sdf_loss(probs_from(labels), labels[None])
-loose = sdf_loss(probs_from(shifted_mask), labels[None])
+weights = surface_weights(labels[None])
+tight = sdf_loss(probs_from(labels), weights)
+loose = sdf_loss(probs_from(shifted_mask), weights)
 print("\nsdf loss, aligned prediction:", float(tight.data))
 print("sdf loss, shifted prediction:", float(loose.data))
 print("misaligned transitions cost more:", float(loose.data) > float(tight.data))

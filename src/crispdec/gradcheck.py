@@ -173,10 +173,9 @@ def _loss_checks(rng) -> list[CheckResult]:
     sup = (rng.random((n, 1, h, w)) < 0.7).astype(np.uint8)
     out.append(_check("boundary_loss_supervised",
                       lambda e: losses.boundary_loss(e, band, sup), [elog]))
-    yhat = rng.integers(0, 2, size=(n, h, w))
+    phi = losses.surface_weights(rng.integers(0, 2, size=(n, h, w)))
     zs = _rand(rng, n, k, h, w)
-    out.append(_check("sdf_loss",
-                      lambda z: losses.sdf_loss(softmax(z, 1), yhat), [zs]))
+    out.append(_check("sdf_loss", lambda z: losses.sdf_loss(softmax(z, 1), phi), [zs]))
     ual = Tensor(rng.random((n, 1, 2, 2)) + 0.1, requires_grad=True)
     out.append(_check("mix_uncertainty_weight",
                       lambda u, z: (losses.mix_uncertainty(

@@ -14,13 +14,13 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .fileio import IGNORE, read_fields
-from .losses import ALPHA, PseudoLabelSet, mix_uncertainty, total_loss
+from .losses import ALPHA, PseudoLabelSet, mix_uncertainty, stack_geometry, total_loss
 from .model import SegModel
 from .synthdata import build_ignore_mask
 from .tensor import Tensor, bilinear_upsample, log_softmax, no_grad, softmax
 
 LOG_COLUMNS = ["step", "l_total", "l_ce", "l_dice", "l_het", "l_bnd", "l_sdf",
-               "mean_w", "valid_fraction"]
+               "mean_w", "valid_fraction", "lr_factor", "q", "grad_norm", "clipped"]
 # one row per relabel event, in a file of this name next to the step log
 RELABEL_LOG = "relabel_log.csv"
 RELABEL_COLUMNS = ["epoch", "kept_fraction", "held_classes", "changed_fraction",
@@ -351,6 +351,8 @@ def train(cfg: TrainConfig, data: list, model: SegModel,
                 if not relabeled:
                     m = build_ignore_mask(unc, q) & m
                 labels = PseudoLabelSet(yhat=yhat, valid=m, seed_uncertainty=unc)
+                if model.cfg.use_bnd:
+                    stack_geometry(labels, [s.seed for s in batch], flips, cfg.use_sdf)
 
                 outputs = model.forward(images, detach_p=detach_p)
                 loss, breakdown = total_loss(outputs, labels, cfg.use_sdf)
@@ -361,11 +363,14 @@ def train(cfg: TrainConfig, data: list, model: SegModel,
                 grad_norm = _clip_grads(params, GRAD_CLIP)
                 if not math.isfinite(grad_norm):
                     raise TrainingDiverged(step, {**breakdown, "grad_norm": grad_norm})
-                opt.step(_lr_factor(step, warmup_steps, total_steps))
+                lr_factor = _lr_factor(step, warmup_steps, total_steps)
+                opt.step(lr_factor)
                 if teacher is not None:
                     ema_update(teacher, params, cfg.ema_tau)
 
-                row = {"step": step, **breakdown}
+                row = {"step": step, **breakdown, "lr_factor": lr_factor,
+                       "q": 0.0 if relabeled else q, "grad_norm": grad_norm,
+                       "clipped": int(grad_norm > GRAD_CLIP)}
                 logs.append(row)
                 if writer is not None:
                     writer.writerow([row["step"]] + [row[c] for c in LOG_COLUMNS[1:]])

@@ -168,23 +168,65 @@ def boundary_loss(e_log_up: Tensor, band: np.ndarray, supervised=None) -> Tensor
     return Tensor._from_op(bce + (1.0 - num / den), (e_log_up,), bwd)
 
 
-def sdf_loss(p: Tensor, yhat: np.ndarray) -> Tensor:
-    """Mean over pixels of ||forward-diff grad of the probabilities p||_1
-    weighted by the distance to the boundary of the labels yhat [N,H,W];
-    images with no boundary contribute 0."""
-    n, k, h, w = p.shape
+def surface_weights(yhat: np.ndarray) -> np.ndarray:
+    """|phi| [N,1,H,W], the distance to the boundary of the labels yhat
+    [N,H,W]; 0 on IGNORE pixels and on images with no boundary."""
+    n, h, w = yhat.shape
     phi = np.empty((n, 1, h, w))
     for i in range(n):
         d = np.abs(signed_distance(yhat[i]))
         if d[0, 0] == PHI_SENTINEL and np.all(d == PHI_SENTINEL):
             d = np.zeros_like(d)
-        d = np.where(yhat[i] == IGNORE, 0.0, d)  # no penalty where labels are unknown
-        phi[i, 0] = d
-    phi_t = Tensor(phi)
-    du = (p[:, :, 1:, :] - p[:, :, :-1, :]).abs().sum(axis=1, keepdims=True)
-    dv = (p[:, :, :, 1:] - p[:, :, :, :-1]).abs().sum(axis=1, keepdims=True)
-    total = (du * phi_t[:, :, :-1, :]).sum() + (dv * phi_t[:, :, :, :-1]).sum()
-    return total / (n * h * w)
+        phi[i, 0] = np.where(yhat[i] == IGNORE, 0.0, d)
+    return phi
+
+
+def label_geometry(labels: PseudoLabelSet, use_sdf: bool) -> tuple:
+    """The thin band and the boundary-supervision mask [N,H,W] of a label
+    set and, with `use_sdf`, its `surface_weights` (else None); built once."""
+    geo = labels._targets.get("geometry")
+    if geo is None or (use_sdf and geo[2] is None):
+        band = boundary_band(labels.yhat, BAND_PX)
+        # band pixels (observed label transitions) stay supervised near
+        # IGNORE; only "no boundary" claims are unknowable there
+        sup = ~dilate_square(labels.yhat == IGNORE, BAND_PX) | band.astype(bool)
+        geo = (band, sup, surface_weights(labels.yhat) if use_sdf else None)
+        labels._targets["geometry"] = geo
+    return geo if use_sdf else (*geo[:2], None)
+
+
+def stack_geometry(labels: PseudoLabelSet, parts: list, flips: np.ndarray,
+                   use_sdf: bool) -> None:
+    """Give `labels`, the stack of the sets `parts` mirrored where `flips`,
+    their geometry mirrored alike: the mirror commutes with all of it."""
+    geo = [None if maps[0] is None else np.concatenate(maps)
+           for maps in zip(*(label_geometry(s, use_sdf) for s in parts))]
+    for a in geo if use_sdf else geo[:2]:
+        a[flips] = a[flips, ..., ::-1]
+    labels._targets["geometry"] = tuple(geo)
+
+
+def sdf_loss(p: Tensor, phi: np.ndarray) -> Tensor:
+    """Mean over pixels of ||forward-diff grad of the probabilities p||_1,
+    weighted by phi [N,1,H,W] of `surface_weights`, as one node."""
+    n, _, h, w = p.shape
+    # down the rows, then along the columns: p's slices 1: and :-1 and their difference
+    slices = ((np.s_[:, :, 1:], np.s_[:, :, :-1]), (np.s_[..., 1:], np.s_[..., :-1]))
+    axes = [(hi, lo, p.data[hi] - p.data[lo]) for hi, lo in slices]
+    sums = [(np.abs(d).sum(axis=1, keepdims=True) * phi[lo]).sum() for _, lo, d in axes]
+
+    def bwd(g):
+        # the composite's chain rule in its order of adds into p, after a 0.0
+        # that turns -0.0 into 0.0 there, as the composite's padded adds do
+        g = g / (n * h * w)
+        p._accumulate(0.0)
+        for hi, lo, d in axes:
+            gx = np.sign(d)
+            gx *= (g * phi[lo]).astype(p.data.dtype)
+            p.grad[hi] += gx
+            p.grad[lo] -= gx
+
+    return Tensor._from_op((sums[0] + sums[1]) / (n * h * w), (p,), bwd)
 
 
 def total_loss(outputs, labels: PseudoLabelSet, use_sdf: bool) -> tuple[Tensor, dict]:
@@ -218,24 +260,15 @@ def total_loss(outputs, labels: PseudoLabelSet, use_sdf: bool) -> tuple[Tensor, 
         l_het = heteroscedastic_loss(log_softmax(z_up, axis=1), labels, u_up)
         total = total + LAMBDA_HET * l_het
 
-    l_bnd = Tensor(0.0)
+    l_bnd = l_sdf = Tensor(0.0)
     if outputs.edge_logits is not None:
-        band = boundary_band(labels.yhat, BAND_PX)
+        band, sup, phi = label_geometry(labels, use_sdf)
         e_up = bilinear_upsample(outputs.edge_logits, h, w)
-        sup = None
-        ign = labels.yhat == IGNORE
-        if ign.any():
-            # band pixels come from observed label transitions and stay
-            # supervised even near IGNORE; only "no boundary" claims are
-            # unknowable next to unlabeled pixels
-            sup = (~dilate_square(ign, BAND_PX) | band.astype(bool)).astype(np.uint8)
-        l_bnd = boundary_loss(e_up, band[:, None], None if sup is None else sup[:, None])
+        l_bnd = boundary_loss(e_up, band[:, None], sup[:, None])
         total = total + LAMBDA_BND * l_bnd
-
-    l_sdf = Tensor(0.0)
-    if use_sdf and outputs.edge_logits is not None:
-        l_sdf = sdf_loss(p, labels.yhat)
-        total = total + LAMBDA_SDF * l_sdf
+        if use_sdf:
+            l_sdf = sdf_loss(p, phi)
+            total = total + LAMBDA_SDF * l_sdf
 
     breakdown = {
         "l_total": float(total.data),

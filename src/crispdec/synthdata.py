@@ -152,9 +152,13 @@ def build_ignore_mask(seed_uncertainty: np.ndarray, q_percent: float) -> np.ndar
     n, h, w = u.shape
     k = int(np.ceil(q_percent / 100.0 * h * w))
     m = np.ones((n, h * w), dtype=np.uint8)
-    # ascending u, ties ascending index: the last k are masked
-    order = np.argsort(u.reshape(n, -1), axis=1, kind="stable")
-    np.put_along_axis(m, order[:, h * w - k:], 0, axis=1)
+    if k:
+        # every value above the k-th largest, then its ties from the last index back
+        flat = u.reshape(n, -1)
+        cut = np.partition(flat, h * w - k, axis=1)[:, h * w - k, None]
+        ties, need = flat == cut, k - np.count_nonzero(flat > cut, axis=1)[:, None]
+        ties_after = np.cumsum(ties[:, ::-1], axis=1)[:, ::-1]  # ties at or after each index
+        m[(flat > cut) | (ties & (ties_after <= need))] = 0
     m = m.reshape(n, h, w)
     return m[0] if squeeze else m
 
@@ -314,6 +318,8 @@ def load_dataset(directory) -> list:
             gt = read_pgm(os.path.join(directory, gt_f))
             seed_lab = read_pgm(os.path.join(directory, seed_f)).astype(np.int64)
             unc = read_ctsr(os.path.join(directory, unc_f)).astype(np.float64)
+            if not np.isfinite(unc).all():  # the seed filter ranks it
+                raise FormatError(f"{os.path.join(directory, unc_f)}: non-finite uncertainty")
             valid = (seed_lab != IGNORE).astype(np.uint8)
             samples.append(Sample(
                 image=image, gt=gt,

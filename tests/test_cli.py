@@ -104,7 +104,10 @@ def trained(tmp_path_factory):
 def test_train_writes_artifacts(trained):
     _, run = trained
     assert os.path.isdir(run / "checkpoint")
-    assert os.path.exists(run / "train_log.csv")
+    with open(run / "train_log.csv") as fh:
+        assert fh.readline().strip().split(",") == [
+            "step", "l_total", "l_ce", "l_dice", "l_het", "l_bnd", "l_sdf", "mean_w",
+            "valid_fraction", "lr_factor", "q", "grad_norm", "clipped"]
     manifest = (run / "run_manifest.txt").read_text()
     assert "components=dmf+var+ugr+bnd+udmf+ema" in manifest
     assert "dataset_hash=" in manifest

@@ -399,6 +399,8 @@ def test_relabel_log_leaves_the_training_bytes_alone(tmp_path):
             writer.writerow([row[c] for c in LOG_COLUMNS])
     assert ((tmp_path / "a" / "train_log.csv").read_bytes()
             == (tmp_path / "b" / "train_log.csv").read_bytes())
+    # the seed filter masks Q_START% in epoch 0 and nothing once relabeled
+    assert [r["q"] for r in plain] == [loop.Q_START] * 2 + [0.0] * 4
     with open(tmp_path / "a" / "relabel_log.csv", newline="") as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == RELABEL_COLUMNS
@@ -456,6 +458,14 @@ def test_train_log_structure(tmp_path):
     assert [r["step"] for r in logs] == list(range(4))
     header = (tmp_path / "log.csv").read_text().splitlines()[0]
     assert header.split(",") == LOG_COLUMNS
+    with open(tmp_path / "log.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    for row in rows:
+        step = int(row["step"])
+        assert float(row["lr_factor"]) == _lr_factor(step, 2, 4)
+        assert float(row["q"]) == anneal_q(step // 2, cfg)  # no relabel: the seed filter stays
+        assert row["clipped"] == str(int(float(row["grad_norm"]) > loop.GRAD_CLIP))
+    assert [float(r["grad_norm"]) for r in rows] == [r["grad_norm"] for r in logs]
 
 
 def test_train_zero_epochs_leaves_params_at_init():
@@ -535,6 +545,34 @@ def test_train_no_relabel_without_ema():
     train(cfg, data, tiny_model(use_ema=False))
     for s, y in zip(data, before):
         np.testing.assert_array_equal(s.seed.yhat, y)
+
+
+@pytest.mark.parametrize("relabel_period", [0, 1])
+def test_train_builds_label_geometry_once_per_label_set(monkeypatch, relabel_period):
+    """Each sample's 2-D band and distance map are built once per label
+    set: once in 3 epochs without relabeling, once per epoch with a
+    relabel every epoch."""
+    from crispdec import geometry, losses
+
+    calls = {"band": 0, "sdf": 0}
+    band, sdf = geometry.boundary_band, losses.signed_distance
+
+    def counted_band(labels, *args):
+        calls["band"] += np.ndim(labels) == 2
+        return band(labels, *args)
+
+    def counted_sdf(labels):
+        calls["sdf"] += 1
+        return sdf(labels)
+
+    for mod in (geometry, losses):
+        monkeypatch.setattr(mod, "boundary_band", counted_band)
+    monkeypatch.setattr(losses, "signed_distance", counted_sdf)
+    cfg = TrainConfig(epochs=3, batch_size=2, lr_decoder=1e-3, seed=0,
+                      relabel_period=relabel_period)
+    train(cfg, tiny_data(4), tiny_model(width=8))
+    sets = 4 * (3 if relabel_period else 1)
+    assert calls == {"band": sets, "sdf": sets}
 
 
 def test_teacher_predict_without_variance_head_is_normalized_entropy():

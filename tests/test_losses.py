@@ -10,7 +10,10 @@ from crispdec.losses import (
     masked_ce,
     masked_dice,
     mix_uncertainty,
+    label_geometry,
     sdf_loss,
+    stack_geometry,
+    surface_weights,
     total_loss,
 )
 from crispdec.tensor import Tensor, bilinear_upsample, log_softmax, softmax
@@ -237,7 +240,7 @@ def test_sdf_loss_zero_for_constant_probabilities():
     y = np.zeros((1, 4, 4), dtype=int)
     y[0, :2] = 1
     p = Tensor(np.full((1, 2, 4, 4), 0.5))
-    np.testing.assert_allclose(float(sdf_loss(p, y).data), 0.0, atol=1e-12)
+    np.testing.assert_allclose(float(sdf_loss(p, surface_weights(y)).data), 0.0, atol=1e-12)
 
 
 def test_sdf_loss_penalizes_variation_far_from_boundary():
@@ -247,15 +250,15 @@ def test_sdf_loss_penalizes_variation_far_from_boundary():
     pb = pa.copy()
     pa[0, 0, 0, 3] = 0.9  # jump next to the boundary
     pb[0, 0, 0, 7] = 0.9  # same jump far away
-    la = float(sdf_loss(Tensor(pa), y).data)
-    lb = float(sdf_loss(Tensor(pb), y).data)
+    la = float(sdf_loss(Tensor(pa), surface_weights(y)).data)
+    lb = float(sdf_loss(Tensor(pb), surface_weights(y)).data)
     assert lb > la
 
 
 def test_sdf_loss_boundaryless_image_contributes_zero():
     y = np.zeros((1, 4, 4), dtype=int)
     p = Tensor(np.random.default_rng(7).random((1, 2, 4, 4)))
-    np.testing.assert_allclose(float(sdf_loss(p, y).data), 0.0, atol=1e-12)
+    np.testing.assert_allclose(float(sdf_loss(p, surface_weights(y)).data), 0.0, atol=1e-12)
 
 
 class FakeOutputs:
@@ -409,3 +412,117 @@ def test_a6_float32_step_records_at_most_200_tape_nodes(monkeypatch):
                          use_sdf=False)
     assert loss.requires_grad
     assert len(nodes) <= 200, len(nodes)
+
+
+# -- the fused surface term against the composite it replaced --------------------------
+
+
+def _sdf_loss_composite(p, phi):
+    """The chain of primitives sdf_loss used to record."""
+    n, _, h, w = p.shape
+    phi_t = Tensor(phi)
+    du = (p[:, :, 1:, :] - p[:, :, :-1, :]).abs().sum(axis=1, keepdims=True)
+    dv = (p[:, :, :, 1:] - p[:, :, :, :-1]).abs().sum(axis=1, keepdims=True)
+    total = (du * phi_t[:, :, :-1, :]).sum() + (dv * phi_t[:, :, :, :-1]).sum()
+    return total / (n * h * w)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("grad_before", [False, True])
+def test_fused_sdf_loss_equals_its_composite(dtype, grad_before):
+    """Value and p.grad bit-equal, signed zeros included: ties in p give
+    zero differences, a negative upstream gradient gives -0.0 products,
+    and a gradient already in p may hold -0.0."""
+    rng = np.random.default_rng(40)
+    yhat = np.kron(rng.integers(0, 3, size=(3, 3, 4)), np.ones((4, 4), dtype=int))[:, 1:]
+    yhat[0, :, :3] = IGNORE
+    yhat[2] = 1  # no boundary
+    phi = surface_weights(yhat)
+    x = np.where(rng.random((3, 2, 11, 16)) < 0.3, 0.5, rng.random((3, 2, 11, 16)))
+    p = Tensor(x.astype(dtype), requires_grad=True)
+    seed = np.where(rng.random(p.shape) < 0.5, -0.0, rng.standard_normal(p.shape)).astype(dtype)
+    grads = []
+    for loss_fn in (sdf_loss, _sdf_loss_composite):
+        p.grad = seed.copy() if grad_before else None
+        loss = loss_fn(p, phi)
+        (loss * -0.37).backward()
+        grads.append((loss.data, p.grad))
+    (fused, g_fused), (composite, g_composite) = grads
+    assert fused.dtype == composite.dtype and fused == composite
+    assert g_fused.dtype == g_composite.dtype == dtype
+    assert g_fused.tobytes() == g_composite.tobytes()
+
+
+# -- label geometry, once per label set and mirrored with the image ---------------------
+
+
+def _label_maps(rng):
+    """Random maps with IGNORE pixels, a boundaryless map and a binary map
+    (whose phi is signed before the surface weights take |phi|)."""
+    maps = rng.integers(0, 4, size=(4, 12, 10))
+    maps[0][rng.random((12, 10)) < 0.3] = IGNORE
+    maps[1] = 2
+    maps[1, :, :4] = IGNORE
+    maps[2] = rng.random((12, 10)) < 0.4
+    maps[3] = 0
+    maps[3, 3:8, 2:7] = 1
+    return maps
+
+
+def test_label_geometry_commutes_with_the_flip():
+    rng = np.random.default_rng(41)
+    for _ in range(20):
+        maps = _label_maps(rng)
+        plain = label_geometry(PseudoLabelSet(maps, maps != IGNORE, np.zeros(maps.shape)), True)
+        flipped = label_geometry(PseudoLabelSet(maps[..., ::-1], maps[..., ::-1] != IGNORE,
+                                                np.zeros(maps.shape)), True)
+        for a, b in zip(plain, flipped):
+            assert a.dtype == b.dtype and a[..., ::-1].tobytes() == b.tobytes()
+
+
+def test_label_geometry_is_built_once_per_label_set(monkeypatch):
+    maps = _label_maps(np.random.default_rng(42))
+    labels = PseudoLabelSet(maps, maps != IGNORE, np.zeros(maps.shape))
+    band, sup, phi = label_geometry(labels, True)
+    monkeypatch.setattr(losses, "boundary_band", None)
+    monkeypatch.setattr(losses, "signed_distance", None)
+    assert label_geometry(labels, True) == (band, sup, phi)
+    assert label_geometry(labels, False) == (band, sup, None)
+    # the supervision mask: off the band, nothing within BAND_PX of IGNORE
+    ign = maps == IGNORE
+    near = np.array([[ign[i, max(r - 2, 0):r + 3, max(c - 2, 0):c + 3].any()
+                      for c in range(10)] for i in range(4) for r in range(12)])
+    np.testing.assert_array_equal(sup, ~near.reshape(4, 12, 10) | band.astype(bool))
+    np.testing.assert_array_equal(phi[:, 0], np.where(ign, 0.0, phi[:, 0]))
+    assert not phi[1].any() and phi[3].any()  # no boundary, no weight
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_stacked_geometry_gives_the_loss_of_a_fresh_label_set(dtype):
+    """The batch fed each sample's geometry, mirrored where the image is,
+    gives every breakdown value and every parameter gradient of a batch
+    that builds its own."""
+    from crispdec.benchmark import LEVELS
+    from crispdec.model import ModelConfig, SegModel
+    from crispdec.synthdata import CorruptionSpec, SceneSpec, make_dataset
+
+    data = make_dataset(4, SceneSpec(height=32, width=32, seed=3),
+                        CorruptionSpec(erode_px=3, dilate_px=3, flip_prob=0.15))
+    data[1].seed = PseudoLabelSet(np.full((32, 32), 2), np.ones((32, 32)), np.zeros((32, 32)))
+    flips = np.array([True, False, True, True])
+    images = np.stack([s.image for s in data])
+    images[flips] = images[flips, :, :, ::-1]
+    yhat = np.concatenate([s.seed.yhat for s in data])
+    yhat[flips] = yhat[flips, :, ::-1]
+    model = SegModel(ModelConfig(width=8, dtype=dtype, **LEVELS["A4"]))
+    results = []
+    for stacked in (True, False):
+        labels = PseudoLabelSet(yhat, yhat != IGNORE, np.zeros(yhat.shape))
+        if stacked:
+            stack_geometry(labels, [s.seed for s in data], flips, True)
+        model.zero_grad()
+        loss, breakdown = total_loss(model.forward(images), labels, use_sdf=True)
+        loss.backward()
+        results.append((breakdown, {k: p.grad.tobytes() for k, p in model.params.items()}))
+    assert results[0][0]["l_sdf"] > 0 and results[0][0]["l_bnd"] > 0
+    assert results[0] == results[1]

@@ -136,7 +136,7 @@ def test_ignore_mask_batched():
 
 @pytest.mark.parametrize("decimals", [0, 1, 2])
 def test_ignore_mask_equals_its_lexsort_oracle_on_ties(decimals):
-    """One stable argsort over the batch masks what a per-image lexsort
+    """The selection over the batch masks what a per-image lexsort
     (ascending u, ties by index) masks last, ties included."""
     rng = np.random.default_rng(decimals)
     u = np.round(rng.random((5, 9, 7)), decimals)  # rounding makes many ties
@@ -148,6 +148,22 @@ def test_ignore_mask_equals_its_lexsort_oracle_on_ties(decimals):
             if k:
                 expect[i, np.lexsort((idx, u[i].reshape(-1)))[-k:]] = 0
         np.testing.assert_array_equal(build_ignore_mask(u, q), expect.reshape(5, 9, 7))
+
+
+def test_ignore_mask_selection_on_heavy_ties():
+    """Two values over the whole batch, one image constant: the selection
+    masks what the lexsort oracle masks, down to q = 0 and up to q = 99."""
+    rng = np.random.default_rng(7)
+    u = rng.integers(0, 2, size=(4, 8, 6)).astype(float)
+    u[2] = 1.0
+    idx = np.arange(48)
+    for q in (0.0, 99.0):
+        k = int(np.ceil(q / 100.0 * 48))
+        expect = np.ones((4, 48), dtype=np.uint8)
+        for i in range(4):
+            if k:
+                expect[i, np.lexsort((idx, u[i].reshape(-1)))[-k:]] = 0
+        np.testing.assert_array_equal(build_ignore_mask(u, q), expect.reshape(4, 8, 6))
 
 
 def test_corrupt_zero_spec_is_identity():
@@ -280,6 +296,18 @@ def test_dataset_hash_sensitive_to_seed(tmp_path):
 def test_empty_dataset_manifest(tmp_path):
     export_dataset(tmp_path / "e", [])
     assert load_dataset(tmp_path / "e") == []
+
+
+def test_load_dataset_rejects_a_non_finite_uncertainty(tmp_path):
+    from crispdec.fileio import write_ctsr
+
+    export_dataset(tmp_path, make_dataset(2, SceneSpec(seed=3), CorruptionSpec()))
+    unc_file = (tmp_path / "manifest.txt").read_text().splitlines()[-1].split("\t")[4]
+    unc = np.zeros((64, 64), dtype=np.float32)
+    unc[3, 5] = np.nan
+    write_ctsr(tmp_path / unc_file, unc)
+    with pytest.raises(FormatError, match="non-finite uncertainty"):
+        load_dataset(tmp_path)
 
 
 def test_load_dataset_names_a_malformed_manifest_line(tmp_path):
