@@ -222,6 +222,19 @@ def _encoder_checks(rng) -> list[CheckResult]:
                    sample=8, rng=rng)]
 
 
+def _weight_checks(rng) -> list[CheckResult]:
+    """CE and Dice with a tracked weight map; the entropy-only weights."""
+    labels, z = _micro_labels(rng, 2, 3, 4, 4), _rand(rng, 2, 3, 4, 4)
+    wmap = Tensor(rng.random((2, 1, 4, 4)) + 0.2, requires_grad=True)
+    sw = rng.standard_normal((2, 1, 4, 4))
+    return [_check("masked_ce_weight",
+                   lambda t, m: losses.masked_ce(log_softmax(t, 1), labels, m), [z, wmap]),
+            _check("masked_dice_weight",
+                   lambda t, m: losses.masked_dice(softmax(t, 1), labels, m), [z, wmap]),
+            _check("mix_uncertainty_entropy_weight", lambda t: (losses.mix_uncertainty(
+                None, softmax(t, 1), log_softmax(t, 1), 0.5)[1] * sw).sum(), [z])]
+
+
 def run_all(seed: int = 0) -> list[CheckResult]:
     rng = np.random.default_rng(seed)
     results = []
@@ -229,6 +242,7 @@ def run_all(seed: int = 0) -> list[CheckResult]:
     results += _loss_checks(rng)
     results += _decoder_checks(rng)
     results += _encoder_checks(rng)
+    results += _weight_checks(rng)  # last, so the earlier checks draw what they always drew
     if not results:
         raise RuntimeError("gradient-check registry is empty")
     return results

@@ -20,7 +20,8 @@ from .synthdata import build_ignore_mask
 from .tensor import Tensor, bilinear_upsample, log_softmax, no_grad, softmax
 
 LOG_COLUMNS = ["step", "l_total", "l_ce", "l_dice", "l_het", "l_bnd", "l_sdf",
-               "mean_w", "valid_fraction", "lr_factor", "q", "grad_norm", "clipped"]
+               "mean_w", "valid_fraction", "lr_factor", "q", "grad_norm", "clipped",
+               "mean_gate", "fuse_w1", "fuse_w2", "fuse_w3", "fuse_w4"]
 # one row per relabel event, in a file of this name next to the step log
 RELABEL_LOG = "relabel_log.csv"
 RELABEL_COLUMNS = ["epoch", "kept_fraction", "held_classes", "changed_fraction",
@@ -368,9 +369,13 @@ def train(cfg: TrainConfig, data: list, model: SegModel,
                 if teacher is not None:
                     ema_update(teacher, params, cfg.ema_tau)
 
+                fw, gate = outputs.weights, outputs.gate  # None (empty cells) if absent
                 row = {"step": step, **breakdown, "lr_factor": lr_factor,
                        "q": 0.0 if relabeled else q, "grad_norm": grad_norm,
-                       "clipped": int(grad_norm > GRAD_CLIP)}
+                       "clipped": int(grad_norm > GRAD_CLIP),
+                       "mean_gate": None if gate is None else float(gate.data.mean()),
+                       **{f"fuse_w{i + 1}": None if fw is None else float(fw.data[:, i].mean())
+                          for i in range(4)}}
                 logs.append(row)
                 if writer is not None:
                     writer.writerow([row["step"]] + [row[c] for c in LOG_COLUMNS[1:]])

@@ -5,6 +5,11 @@ loss, and their weighted sum.
 All reductions are means over contributing pixels so the scale of each term
 does not depend on image size. Invalid (ignored) pixels contribute exactly
 zero, including to gradients.
+
+Each term is one tape node, whose backward is the chain rule through its
+primitives in the order `Tensor.backward` would visit them, so it rounds as
+they would; it skips their copies and broadcasts, which only made signs of
+zeros that no input's gradient keeps.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ import numpy as np
 
 from .fileio import IGNORE
 from .geometry import PHI_SENTINEL, boundary_band, dilate_square, signed_distance
-from .tensor import Tensor, _sigmoid, bilinear_upsample, log_softmax, softmax
+from .tensor import Tensor, _sigmoid, _unbroadcast, bilinear_upsample, log_softmax, softmax
 
 DICE_SMOOTH = 1.0
 _MINMAX_TINY = 1e-12
@@ -71,39 +76,74 @@ def _targets(labels: PseudoLabelSet, k: int) -> tuple[np.ndarray, np.ndarray]:
 def masked_ce(logp: Tensor, labels: PseudoLabelSet, w=None) -> Tensor:
     """Mean over valid pixels of w * (-logp[yhat]), from log-probabilities;
     `w` is a [N,1,H,W] pixel-weight Tensor, or None for unit weights."""
-    oh = Tensor(_targets(labels, logp.shape[1])[0])
+    oh = _targets(labels, logp.shape[1])[0]
     n_valid = int(labels.valid.sum())
     if n_valid == 0:
         warnings.warn("masked_ce: no valid pixels, returning 0")
         return Tensor(0.0)
-    nll = -(oh * logp).sum(axis=1, keepdims=True)
-    if w is not None:
-        nll = w * nll
-    return nll.sum() / n_valid  # the one-hot is zero off the valid mask
+    nll = -(oh * logp.data).sum(axis=1, keepdims=True)
+    total = (nll if w is None else w.data * nll).sum()  # the one-hot is zero off the valid mask
+
+    def bwd(g):
+        g = g / n_valid
+        if w is not None and w.requires_grad:
+            w._accumulate(_unbroadcast(g * nll, w.shape))
+        if logp.requires_grad:  # 0.0 - x rounds as the chain's 0.0 + -(0.0 + x)
+            logp._accumulate(np.subtract(0.0, g if w is None else g * w.data) * oh)
+
+    return Tensor._from_op(total / n_valid, (logp,) if w is None else (logp, w), bwd)
 
 
 def masked_dice(p: Tensor, labels: PseudoLabelSet, w=None) -> Tensor:
     """Soft Dice of probabilities over the valid region, averaged over the
     classes present in the valid targets; the pixel weight `w` (as in
-    `masked_ce`) enters both soft sums, taken for all classes at once."""
+    `masked_ce`) enters both soft sums, taken for all classes at once. p + y
+    is a node of its own, a parent listed after `w`, so that its gradient
+    reaches p after the weights' gradient, as it does in the chain."""
     oh, vm = _targets(labels, p.shape[1])
     if int(labels.valid.sum()) == 0:
         warnings.warn("masked_dice: no valid pixels, returning 0")
         return Tensor(0.0)
-    present = np.flatnonzero(oh.any(axis=(0, 2, 3)))
-    y, vm = Tensor(oh), Tensor(vm)
-    wt = vm if w is None else w * vm
-    num = 2.0 * (wt * p * y).sum(axis=(0, 2, 3)) + DICE_SMOOTH
-    den = (wt * (p + y)).sum(axis=(0, 2, 3)) + DICE_SMOOTH
-    return (1.0 - num / den)[present].sum() / len(present)
+    present = oh.any(axis=(0, 2, 3))
+    py = p + Tensor(oh)
+    wt = vm if w is None else w.data * vm
+    num = 2.0 * (wt * p.data * oh).sum(axis=(0, 2, 3)) + DICE_SMOOTH
+    den = (wt * py.data).sum(axis=(0, 2, 3)) + DICE_SMOOTH
+    dice = 1.0 - num / den
+
+    def bwd(g):
+        g_dice = np.where(present, g / present.sum(), 0.0)
+        g_den = (g_dice * num / (den * den))[:, None, None]  # per class, into wt * (p + y)
+        g_wp = (-g_dice / den * 2.0)[:, None, None] * oh  # py's share clears its -0.0
+        if w is not None and w.requires_grad:
+            g_wt = 0.0 + _unbroadcast(g_wp * p.data, wt.shape)
+            g_wt += _unbroadcast(g_den * py.data, wt.shape)
+            w._accumulate(_unbroadcast(g_wt * vm, w.shape))
+        if p.requires_grad:
+            p._accumulate(g_wp * wt)
+            py._accumulate(g_den * wt)
+
+    return Tensor._from_op(dice[present].sum() / present.sum(),
+                           (p, py) if w is None else (p, w, py), bwd)
 
 
-def _minmax_normalize(u: Tensor) -> Tensor:
-    """Per-image min-max scaling into [0,1]; a constant map maps to zeros."""
-    axes = tuple(range(1, u.data.ndim))
-    lo = u.min(axis=axes, keepdims=True)
-    rng = u.max(axis=axes, keepdims=True) - lo
-    return (u - lo) / (rng + _MINMAX_TINY)
+def _minmax_normalize(x: np.ndarray):
+    """Per-image min-max scaling of x [N,...] into [0,1] (a constant map
+    maps to zeros), and a function from its gradient to x's three shares,
+    in the chain's order: through the centering, the max, then the min."""
+    axes = tuple(range(1, x.ndim))
+    lo, hi = x.min(axis=axes, keepdims=True), x.max(axis=axes, keepdims=True)
+    num, den = x - lo, (hi - lo) + np.asarray(_MINMAX_TINY, dtype=lo.dtype)
+    at_lo, at_hi = x == lo, x == hi
+
+    def grads(g):
+        g_num = 0.0 + g / den  # the first share: no -0.0 in g or later shares survives
+        g_den = _unbroadcast(-g * num / (den * den), den.shape)
+        g_lo = -_unbroadcast(g_num, lo.shape) - g_den
+        return (g_num, at_hi * (g_den / at_hi.sum(axis=axes, keepdims=True)),
+                at_lo * (g_lo / at_lo.sum(axis=axes, keepdims=True)))
+
+    return num / den, grads
 
 
 def mix_uncertainty(u_up: Tensor | None, p: Tensor, logp: Tensor,
@@ -111,11 +151,34 @@ def mix_uncertainty(u_up: Tensor | None, p: Tensor, logp: Tensor,
     """Blend the normalized upsampled aleatoric map `u_up` with the
     normalized entropy of the probabilities `p` (log-probabilities `logp`)
     into U, and map U to pixel weights w = exp(-BETA * U); returns (U, w).
-    With `u_up` None (no variance head) U is the normalized entropy alone."""
-    u = _minmax_normalize(-(p * logp).sum(axis=1, keepdims=True))
+    With `u_up` None (no variance head) U is the normalized entropy alone;
+    U records no graph, as no loss term differentiates it."""
+    u_ent, ent_grads = _minmax_normalize(-(p.data * logp.data).sum(axis=1, keepdims=True))
+    u = u_ent
     if u_up is not None:
-        u = alpha * _minmax_normalize(u_up) + (1.0 - alpha) * u
-    return u, (-BETA * u).exp()
+        u_ale, ale_grads = _minmax_normalize(u_up.data)
+        a, b = np.asarray(alpha, dtype=u_ale.dtype), np.asarray(1.0 - alpha, dtype=u_ent.dtype)
+        u = u_ale * a + u_ent * b
+    beta = np.asarray(-BETA, dtype=u.dtype)
+    w = np.exp(u * beta)
+
+    def bwd(g):
+        g_u = g * w * beta
+        if u_up is not None:
+            if u_up.requires_grad:
+                for part in ale_grads(g_u.astype(u_ale.dtype, copy=False) * a):
+                    u_up._accumulate(part)
+            g_u = g_u.astype(u_ent.dtype, copy=False) * b
+        g_ent, *rest = ent_grads(g_u)
+        for part in rest:  # in place, so each sum rounds to the entropy's dtype
+            g_ent += part
+        g_ent = 0.0 - g_ent
+        if p.requires_grad:
+            p._accumulate(g_ent * logp.data)
+        if logp.requires_grad:
+            logp._accumulate(g_ent * p.data)
+
+    return Tensor(u), Tensor._from_op(w, (p, logp) if u_up is None else (u_up, p, logp), bwd)
 
 
 def heteroscedastic_loss(logp: Tensor, labels: PseudoLabelSet,
@@ -123,16 +186,29 @@ def heteroscedastic_loss(logp: Tensor, labels: PseudoLabelSet,
     """Mean over valid pixels of CE/(2 sigma^2) + log(sigma^2)/2, from the
     log-probabilities of the pre-refine logits and the per-pixel scalar
     variance (channel mean, upsampled)."""
-    oh, vm = (Tensor(a) for a in _targets(labels, logp.shape[1]))
-    if np.any(sigma2_up.data <= 0):
+    oh, vm = _targets(labels, logp.shape[1])
+    s2 = sigma2_up.data
+    if np.any(s2 <= 0):
         raise ValueError("sigma2 must be strictly positive")
     n_valid = int(labels.valid.sum())
     if n_valid == 0:
         warnings.warn("heteroscedastic_loss: no valid pixels, returning 0")
         return Tensor(0.0)
-    nll = -(oh * logp).sum(axis=1, keepdims=True)
-    per_px = nll / (2.0 * sigma2_up) + 0.5 * sigma2_up.log()
-    return (per_px * vm).sum() / n_valid
+    nll = -(oh * logp.data).sum(axis=1, keepdims=True)
+    two, half = np.asarray(2.0, dtype=s2.dtype), np.asarray(0.5, dtype=s2.dtype)
+    s2_twice = s2 * two
+    total = ((nll / s2_twice + np.log(s2) * half) * vm).sum()
+
+    def bwd(g):
+        g_px = 0.0 + g / n_valid * vm
+        if logp.requires_grad:
+            logp._accumulate(np.subtract(0.0, g_px / s2_twice) * oh)
+        if sigma2_up.requires_grad:  # through 2 sigma^2, then the log, whose share erases -0.0
+            g_twice = (-g_px * nll / (s2_twice * s2_twice)).astype(s2.dtype, copy=False)
+            sigma2_up._accumulate(g_twice * two)
+            sigma2_up._accumulate(g_px.astype(s2.dtype, copy=False) * half / s2)
+
+    return Tensor._from_op(total / n_valid, (logp, sigma2_up), bwd)
 
 
 def boundary_loss(e_log_up: Tensor, band: np.ndarray, supervised=None) -> Tensor:

@@ -423,7 +423,11 @@ def conv2d(t: Tensor, kernel: Tensor, bias: Tensor | None = None,
         if kernel.requires_grad:
             gk = np.matmul(gmat, cols.transpose(0, 2, 1)).sum(axis=0)
             kernel._accumulate(gk.reshape(kernel.shape))
-        if t.requires_grad:
+        if t.requires_grad and k == 1 and s == 1 and p == 0:
+            # the GEMM itself: no other column adds into an input pixel
+            gx = np.matmul(kmat.T, gmat)
+            t._accumulate(gx.astype(t.data.dtype, copy=False).reshape(t.shape))
+        elif t.requires_grad:
             gcols = np.matmul(kmat.T, gmat).reshape(n, cin, k, k, hout, wout)
             gxp = np.zeros_like(xp)
             for ki in range(k):

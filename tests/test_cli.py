@@ -107,7 +107,8 @@ def test_train_writes_artifacts(trained):
     with open(run / "train_log.csv") as fh:
         assert fh.readline().strip().split(",") == [
             "step", "l_total", "l_ce", "l_dice", "l_het", "l_bnd", "l_sdf", "mean_w",
-            "valid_fraction", "lr_factor", "q", "grad_norm", "clipped"]
+            "valid_fraction", "lr_factor", "q", "grad_norm", "clipped", "mean_gate",
+            "fuse_w1", "fuse_w2", "fuse_w3", "fuse_w4"]
     manifest = (run / "run_manifest.txt").read_text()
     assert "components=dmf+var+ugr+bnd+udmf+ema" in manifest
     assert "dataset_hash=" in manifest

@@ -468,6 +468,35 @@ def test_train_log_structure(tmp_path):
     assert [float(r["grad_norm"]) for r in rows] == [r["grad_norm"] for r in logs]
 
 
+def test_train_log_reports_the_gate_and_fusion_weights(tmp_path):
+    """mean_gate and fuse_w1..fuse_w4 are the step's mean gate and mean
+    fusion weight per scale, and empty where the level has no gate or no
+    dynamic fusion: absent is not zero."""
+    from crispdec.benchmark import LEVELS
+
+    cfg = TrainConfig(epochs=1, batch_size=2, lr_decoder=1e-3, seed=0, relabel_period=0)
+    fuse = ["fuse_w1", "fuse_w2", "fuse_w3", "fuse_w4"]
+    for level, has_gate, has_fuse in (("A6", True, True), ("A1", False, True),
+                                      ("A0", False, False)):
+        path = tmp_path / f"{level}.csv"
+        logs = train(cfg, tiny_data(4), tiny_model(**LEVELS[level]), log_path=path)
+        with open(path, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        for row, logged in zip(rows, logs):
+            assert (row["mean_gate"] != "") == has_gate
+            assert all((row[c] != "") == has_fuse for c in fuse)
+            assert [row[c] for c in ["mean_gate", *fuse]] == [
+                "" if logged[c] is None else str(logged[c]) for c in ["mean_gate", *fuse]]
+            if has_fuse:
+                assert abs(sum(float(row[c]) for c in fuse) - 1.0) < 1e-6
+        # at the first step the gate is its bias init and the zero-init
+        # score heads weigh the four scales equally
+        if has_gate:
+            assert abs(logs[0]["mean_gate"] - 0.1) < 1e-4
+        if has_fuse:
+            assert [logs[0][c] for c in fuse] == [0.25] * 4
+
+
 def test_train_zero_epochs_leaves_params_at_init():
     model = tiny_model(seed=3)
     before = model.state_dict()

@@ -203,9 +203,10 @@ def test_mix_normalized_maps_in_unit_interval():
     u_up, p, logp = bilinear_upsample(u, 8, 8), softmax(z, 1), log_softmax(z, 1)
     mixed, w = mix_uncertainty(u_up, p, logp, alpha=0.5)
     # the two normalized maps that mix_uncertainty blends, and the blend
-    for m in (losses._minmax_normalize(u_up),
-              losses._minmax_normalize(-(p * logp).sum(axis=1, keepdims=True)), mixed):
-        assert m.data.min() >= 0.0 and m.data.max() <= 1.0 + 1e-9
+    for m in (losses._minmax_normalize(u_up.data)[0],
+              losses._minmax_normalize(-(p.data * logp.data).sum(axis=1, keepdims=True))[0],
+              mixed.data):
+        assert m.min() >= 0.0 and m.max() <= 1.0 + 1e-9
     assert w.data.min() > 0.0 and w.data.max() <= 1.0
 
 
@@ -526,3 +527,183 @@ def test_stacked_geometry_gives_the_loss_of_a_fresh_label_set(dtype):
         results.append((breakdown, {k: p.grad.tobytes() for k, p in model.params.items()}))
     assert results[0][0]["l_sdf"] > 0 and results[0][0]["l_bnd"] > 0
     assert results[0] == results[1]
+
+
+# -- the fused region terms against the chains of primitives they replaced -------------
+
+
+def _masked_ce_composite(logp, labels, w=None):
+    """The chain of primitives masked_ce used to record."""
+    oh = Tensor(losses._targets(labels, logp.shape[1])[0])
+    nll = -(oh * logp).sum(axis=1, keepdims=True)
+    if w is not None:
+        nll = w * nll
+    return nll.sum() / int(labels.valid.sum())
+
+
+def _masked_dice_composite(p, labels, w=None):
+    """The chain of primitives masked_dice used to record."""
+    oh, vm = losses._targets(labels, p.shape[1])
+    present = np.flatnonzero(oh.any(axis=(0, 2, 3)))
+    y, vm = Tensor(oh), Tensor(vm)
+    wt = vm if w is None else w * vm
+    num = 2.0 * (wt * p * y).sum(axis=(0, 2, 3)) + losses.DICE_SMOOTH
+    den = (wt * (p + y)).sum(axis=(0, 2, 3)) + losses.DICE_SMOOTH
+    return (1.0 - num / den)[present].sum() / len(present)
+
+
+def _minmax_normalize_composite(u):
+    axes = tuple(range(1, u.data.ndim))
+    lo = u.min(axis=axes, keepdims=True)
+    rng = u.max(axis=axes, keepdims=True) - lo
+    return (u - lo) / (rng + losses._MINMAX_TINY)
+
+
+def _mix_uncertainty_composite(u_up, p, logp, alpha):
+    """The chain of primitives mix_uncertainty used to record."""
+    u = _minmax_normalize_composite(-(p * logp).sum(axis=1, keepdims=True))
+    if u_up is not None:
+        u = alpha * _minmax_normalize_composite(u_up) + (1.0 - alpha) * u
+    return u, (-losses.BETA * u).exp()
+
+
+def _heteroscedastic_composite(logp, labels, sigma2_up):
+    """The chain of primitives heteroscedastic_loss used to record."""
+    oh, vm = (Tensor(a) for a in losses._targets(labels, logp.shape[1]))
+    nll = -(oh * logp).sum(axis=1, keepdims=True)
+    per_px = nll / (2.0 * sigma2_up) + 0.5 * sigma2_up.log()
+    return (per_px * vm).sum() / int(labels.valid.sum())
+
+
+def _region_fixture(dtype, seed=50):
+    """Labels with IGNORE pixels and an absent class, and leaf inputs in
+    `dtype`: probabilities with ties (image 0 is uniform, so its entropy
+    map is constant), their logs, weights with zeros and a variance map
+    with a constant image."""
+    rng = np.random.default_rng(seed)
+    n, k, h, w = 3, 4, 6, 7
+    yhat = rng.integers(0, k - 1, size=(n, h, w))
+    valid = rng.random((n, h, w)) < 0.8
+    yhat[~valid] = IGNORE
+    labels = PseudoLabelSet(yhat, valid, rng.random((n, h, w)))
+    z = np.where(rng.random((n, k, h, w)) < 0.3, 0.0, 2.0 * rng.standard_normal((n, k, h, w)))
+    z[0] = 0.0
+    sigma2 = rng.random((n, 1, h, w)) + 0.2
+    sigma2[1] = 0.7
+    leaves = {"p": softmax(Tensor(z), 1).data, "logp": log_softmax(Tensor(z), 1).data,
+              "w": np.where(rng.random((n, 1, h, w)) < 0.2, 0.0, rng.random((n, 1, h, w))),
+              "u_up": sigma2, "sigma2": sigma2}
+    leaves = {name: Tensor(a.astype(dtype), requires_grad=True) for name, a in leaves.items()}
+    return rng, labels, leaves
+
+
+def _assert_node_equals_composite(fused_fn, composite_fn, inputs, rng, grad_before):
+    """The fused node and its composite give the same value and the same
+    gradient in every input, bit for bit, after a backward of the value
+    times a map of signs and zeros, again with the signs flipped, and once
+    times zero; with `grad_before` every input already holds a gradient
+    with -0.0 in it."""
+    seeds = [np.where(rng.random(t.shape) < 0.5, -0.0, rng.standard_normal(t.shape))
+             .astype(t.data.dtype) for t in inputs]
+    signs = None
+    for flip in (1.0, -1.0, 0.0):
+        results = []
+        for fn in (fused_fn, composite_fn):
+            for t, s in zip(inputs, seeds):
+                t.grad = s.copy() if grad_before else None
+            out = fn(*inputs)
+            outs = out if isinstance(out, tuple) else (out,)
+            if signs is None:
+                r = rng.random(outs[-1].shape)
+                signs = np.where(r < 0.2, 0.0, np.where(r < 0.6, -0.37, 0.61))
+            (outs[-1] * (flip * signs).astype(outs[-1].data.dtype)).sum().backward()
+            results.append([o.data for o in outs] + [t.grad for t in inputs])
+        for a, b in zip(*results):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("weighted", [False, True])
+@pytest.mark.parametrize("grad_before", [False, True])
+def test_fused_ce_and_dice_equal_their_composites(dtype, weighted, grad_before):
+    rng, labels, t = _region_fixture(dtype)
+    w = [t["w"]] if weighted else []
+    _assert_node_equals_composite(lambda lp, *w: masked_ce(lp, labels, *w),
+                                  lambda lp, *w: _masked_ce_composite(lp, labels, *w),
+                                  [t["logp"], *w], rng, grad_before)
+    _assert_node_equals_composite(lambda p, *w: masked_dice(p, labels, *w),
+                                  lambda p, *w: _masked_dice_composite(p, labels, *w),
+                                  [t["p"], *w], rng, grad_before)
+
+
+@pytest.mark.parametrize("dtype, ale_dtype", [
+    (np.float32, None), (np.float64, None), (np.float32, np.float32),
+    (np.float64, np.float64), (np.float64, np.float32), (np.float32, np.float64),
+])
+@pytest.mark.parametrize("grad_before", [False, True])
+@pytest.mark.parametrize("alpha", [0.5, 1.0])
+def test_fused_mix_uncertainty_equals_its_composite(dtype, ale_dtype, grad_before, alpha):
+    """U and w, and the gradient of w in u_up, p and logp: without an
+    aleatoric map, and with one in the dtype of p or the other; ties in
+    the min-max scaling and alpha = 1 (a zero entropy share) included."""
+    rng, _, t = _region_fixture(dtype)
+    if ale_dtype is None:
+        inputs = [t["p"], t["logp"]]
+        fns = [lambda p, lp, f=f: f(None, p, lp, alpha)
+               for f in (mix_uncertainty, _mix_uncertainty_composite)]
+    else:
+        inputs = [Tensor(t["u_up"].data.astype(ale_dtype), requires_grad=True), t["p"], t["logp"]]
+        fns = [lambda u, p, lp, f=f: f(u, p, lp, alpha)
+               for f in (mix_uncertainty, _mix_uncertainty_composite)]
+    _assert_node_equals_composite(*fns, inputs, rng, grad_before)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("grad_before", [False, True])
+def test_fused_heteroscedastic_loss_equals_its_composite(dtype, grad_before):
+    rng, labels, t = _region_fixture(dtype)
+    _assert_node_equals_composite(
+        lambda lp, s: heteroscedastic_loss(lp, labels, s),
+        lambda lp, s: _heteroscedastic_composite(lp, labels, s),
+        [t["logp"], t["sigma2"]], rng, grad_before)
+
+
+@pytest.mark.parametrize("level, dtype, use_sdf", [("A6", "float32", False),
+                                                   ("A6", "float64", True),
+                                                   ("U0", "float64", True),
+                                                   ("A4", "float32", True)])
+def test_step_gradients_equal_those_of_the_composite_terms(level, dtype, use_sdf, monkeypatch):
+    """Every breakdown value and parameter gradient of a step equals, bit
+    for bit, that of the step with the four region terms recorded as
+    chains of primitives: at init and with every parameter perturbed. This
+    pins the order in which the tape adds the terms' gradients into the
+    maps they share, and with it the order of masked_dice's parents."""
+    from crispdec.benchmark import LEVELS
+    from crispdec.model import ModelConfig, SegModel
+    from crispdec.synthdata import CorruptionSpec, SceneSpec, make_dataset
+
+    data = make_dataset(4, SceneSpec(height=32, width=32, seed=4),
+                        CorruptionSpec(erode_px=3, dilate_px=3, flip_prob=0.15))
+    images = np.stack([s.image for s in data])
+    rng = np.random.default_rng(51)
+    yhat = np.concatenate([s.seed.yhat for s in data])
+    yhat[rng.random(yhat.shape) < 0.15] = IGNORE
+    labels = PseudoLabelSet(yhat, yhat != IGNORE, np.zeros(yhat.shape))
+    model = SegModel(ModelConfig(width=8, dtype=dtype, **LEVELS[level]))
+    composites = {"masked_ce": _masked_ce_composite, "masked_dice": _masked_dice_composite,
+                  "mix_uncertainty": _mix_uncertainty_composite,
+                  "heteroscedastic_loss": _heteroscedastic_composite}
+    for _ in range(2):
+        results = []
+        for fused in (True, False):
+            with monkeypatch.context() as m:
+                if not fused:
+                    for name, fn in composites.items():
+                        m.setattr(losses, name, fn)
+                model.zero_grad()
+                loss, breakdown = total_loss(model.forward(images), labels, use_sdf)
+                loss.backward()
+            results.append((breakdown, {k: p.grad.tobytes() for k, p in model.params.items()}))
+        assert results[0] == results[1]
+        for t in model.params.values():  # off the zero init of the heads
+            t.data += (0.3 * rng.standard_normal(t.shape)).astype(t.data.dtype)

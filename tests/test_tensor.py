@@ -220,6 +220,49 @@ def test_conv2d_image_output_does_not_depend_on_its_batch(k, padding, stride, si
         np.testing.assert_array_equal(batch[i:i + 1], alone)
 
 
+def _conv1x1_input_grad_scatter(g, kernel, x):
+    """The input gradient of a 1x1 stride-1 conv as the k x k path forms it:
+    the GEMM's columns added into a zero-filled map, then accumulated."""
+    n, cin, h, w = x.shape
+    cout = kernel.shape[0]
+    gcols = np.matmul(kernel.reshape(cout, cin).T,
+                      g.reshape(n, cout, h * w)).reshape(n, cin, 1, 1, h, w)
+    gxp = np.zeros_like(x)
+    gxp[:, :, 0:h, 0:w] += gcols[:, :, 0, 0]
+    return np.add(0.0, gxp, out=np.empty_like(x))
+
+
+@pytest.mark.parametrize("cout", [1, 5])
+@pytest.mark.parametrize("x_dtype, k_dtype", [
+    ("float32", "float32"), ("float64", "float64"), ("float64", "float32"),
+    ("float32", "float64"),
+])
+@pytest.mark.parametrize("grad_before", [False, True])
+def test_conv2d_1x1_input_gradient_equals_the_scatter_form(cout, x_dtype, k_dtype,
+                                                           grad_before):
+    """Byte for byte, zeros in the input and the upstream gradient
+    included (at some pixels in every output channel, so the products there
+    are signed zeros), and added to a gradient the input already holds,
+    with -0.0 in it, as a ReLU's backward leaves."""
+    rng = np.random.default_rng(8)
+    x = np.where(rng.random((3, 6, 5, 7)) < 0.2, 0.0, rng.standard_normal((3, 6, 5, 7)))
+    x = Tensor(x.astype(x_dtype), requires_grad=True)
+    kern = Tensor(rng.standard_normal((cout, 6, 1, 1)).astype(k_dtype), requires_grad=True)
+    out = conv2d(x, kern, Tensor(rng.standard_normal(cout).astype(k_dtype)))
+    g = np.where(rng.random(out.shape) < 0.2, 0.0, rng.standard_normal(out.shape))
+    g[:, :, rng.random((5, 7)) < 0.3] = 0.0
+    g = g.astype(out.data.dtype)
+    prior = np.where(rng.random(x.shape) < 0.5, -0.0, rng.standard_normal(x.shape))
+    prior = prior.astype(x_dtype)
+    x.grad = prior.copy() if grad_before else None
+    out._backward(g)
+    want = _conv1x1_input_grad_scatter(g, kern.data, x.data)
+    if grad_before:
+        want = prior + want
+    assert x.grad.dtype == want.dtype == np.dtype(x_dtype)
+    assert x.grad.tobytes() == want.tobytes()
+
+
 def test_bilinear_upsample_constant_preserved():
     x = Tensor(np.full((1, 1, 3, 3), 7.0))
     y = bilinear_upsample(x, 9, 9)
