@@ -7,6 +7,7 @@ refiner's probability input.
 from __future__ import annotations
 
 import csv
+import ctypes
 import math
 import os
 from dataclasses import dataclass, replace
@@ -169,13 +170,18 @@ def protect_classes(p: np.ndarray, u: np.ndarray, labels: np.ndarray,
     if u.shape != (n, *p.shape[2:]) or labels.shape != u.shape:
         raise ValueError("probability/uncertainty/label shape mismatch")
     cls = np.where(np.isin(labels, held), labels, hard).reshape(-1)
-    # by class, then u, ties by index; narrow class keys sort by radix
-    idx = np.argsort(u.reshape(-1), kind="stable")
-    idx = idx[np.argsort(cls[idx].astype(np.min_scalar_type(k - 1)), kind="stable")]
-    counts = np.bincount(cls, minlength=k)
-    pos = np.empty(cls.size)
-    pos[idx] = np.arange(cls.size)
-    order = (pos - (np.cumsum(counts) - counts)[cls]) / counts[cls]
+    flat_u = u.reshape(-1)
+    order = np.empty(cls.size)
+    for c in range(k):
+        # the class's pixels ranked by u, ties by index: an unstable sort,
+        # then each run of equal u put back in index order
+        srt = np.flatnonzero(cls == c)
+        srt = srt[np.argsort(flat_u[srt])]
+        eq = flat_u[srt[1:]] == flat_u[srt[:-1]]
+        tied = np.flatnonzero(np.r_[False, eq] | np.r_[eq, False])
+        run = np.cumsum(np.r_[True, ~eq])[tied]
+        srt[tied] = np.sort(run * cls.size + srt[tied]) % cls.size
+        order[srt] = np.arange(srt.size) / srt.size
     flat = labels.reshape(-1)
     order += (cls != flat) & (flat != IGNORE)
     return cls.reshape(u.shape), order.reshape(u.shape)
@@ -292,12 +298,35 @@ def _clip_grads(params: dict[str, Tensor], max_norm: float) -> float:
     return norm
 
 
+# glibc's mallopt parameter numbers
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+
+
+def _keep_freed_heap():
+    """Keep the heap a step frees for the next step, for the rest of the
+    process. glibc's dynamic thresholds would hand it back to the OS after
+    each step, and the next step would fault it in again. Arrays below
+    32 MiB come from the heap, which is trimmed only past 1 GiB free at its
+    top; either setting alone turns the dynamic thresholds off. A no-op
+    without glibc's `mallopt`."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+    mallopt(_M_TRIM_THRESHOLD, 1 << 30)
+
+
 def train(cfg: TrainConfig, data: list, model: SegModel,
           log_path=None, checkpoint_dir=None) -> list[dict]:
     """Run the full loop over `data` (a list of synthdata Samples); returns
     per-step loss breakdowns. The samples' label sets are refreshed in place
     when the EMA teacher relabels. With `log_path`, each step is a row of
-    that CSV and each relabel event a row of RELABEL_LOG beside it."""
+    that CSV and each relabel event a row of RELABEL_LOG beside it.
+
+    Before its first step it calls `_keep_freed_heap`, which sets glibc's
+    malloc thresholds for the rest of the process, not only for training:
+    whatever the process runs after `train` allocates under them too."""
     rng = np.random.default_rng(cfg.seed)
     params = model.params
     lr = {k: cfg.lr_decoder * (LR_ENCODER_SCALE if k.startswith("enc.") else 1.0)
@@ -316,6 +345,7 @@ def train(cfg: TrainConfig, data: list, model: SegModel,
     log_fh = relabel_fh = None
     step = 0
     relabeled = False
+    _keep_freed_heap()
     try:
         if log_path is not None:
             log_fh = open(log_path, "w", newline="")

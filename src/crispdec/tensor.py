@@ -42,6 +42,11 @@ def _sigmoid(e: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
+def _consumed(g=None):
+    """The backward of a node whose graph `Tensor.backward` has consumed."""
+    raise RuntimeError("backward through a graph an earlier backward consumed")
+
+
 class Tensor:
     """A dense array plus optional gradient accumulator.
 
@@ -102,10 +107,16 @@ class Tensor:
     # -- autodiff --------------------------------------------------------------
 
     def backward(self):
-        """Populate `grad` on every reachable tracked tensor.
+        """Populate `grad` on every reachable leaf, consuming the graph.
 
-        The root must be scalar. Repeated calls without `zero_grad`
-        accumulate, matching the optimizer contract.
+        The root must be scalar. Once a node's backward has run, its
+        closure, its parent links and, unless it is a leaf, its gradient are
+        dropped, so what only the tape held (saved activations, im2col
+        columns, intermediate gradients) is freed with the graph instead of
+        living until the caller drops the root. Repeated calls without
+        `zero_grad` accumulate into the leaves, each through a freshly
+        built graph; a pass that reaches a node an earlier pass consumed
+        raises RuntimeError.
         """
         if self.data.size != 1:
             raise ValueError("backward requires a scalar root tensor")
@@ -119,6 +130,8 @@ class Tensor:
                 continue
             if id(node) in seen or not node.requires_grad:
                 continue
+            if node._backward is _consumed:
+                _consumed()  # before any gradient moves
             seen.add(id(node))
             stack.append((node, True))
             for p in node._parents:
@@ -127,6 +140,7 @@ class Tensor:
         for node in reversed(topo):
             if node._backward is not None:
                 node._backward(node.grad)
+                node.grad, node._backward, node._parents = None, _consumed, ()
 
     # -- arithmetic ------------------------------------------------------------
 

@@ -25,7 +25,7 @@ from crispdec.loop import (
     train,
     unconfirmed_classes,
 )
-from crispdec.losses import total_loss
+from crispdec.losses import PseudoLabelSet, total_loss
 from crispdec.model import ModelConfig, SegModel
 from crispdec.synthdata import CorruptionSpec, SceneSpec, make_dataset
 from crispdec.tensor import Tensor
@@ -225,6 +225,49 @@ def test_relabel_and_protect_classes_equal_their_lexsort_oracles(decimals):
             valid = np.zeros(64, dtype=np.uint8)
             valid[kept] = 1
             np.testing.assert_array_equal(out.reshape(-1) != IGNORE, valid)
+
+
+def _protect_classes_oracle(p, u, labels, hard, held):
+    """protect_classes as two stable sorts: by u, then by class."""
+    k = p.shape[1]
+    cls = np.where(np.isin(labels, held), labels, hard).reshape(-1)
+    idx = np.argsort(u.reshape(-1), kind="stable")
+    idx = idx[np.argsort(cls[idx].astype(np.min_scalar_type(k - 1)), kind="stable")]
+    counts = np.bincount(cls, minlength=k)
+    pos = np.empty(cls.size)
+    pos[idx] = np.arange(cls.size)
+    order = (pos - (np.cumsum(counts) - counts)[cls]) / counts[cls]
+    flat = labels.reshape(-1)
+    order += (cls != flat) & (flat != IGNORE)
+    return cls.reshape(u.shape), order.reshape(u.shape)
+
+
+@pytest.mark.parametrize("ties", ["none", "ends", "rounded", "constant"])
+@pytest.mark.parametrize("held", [(), (2,), (0, 3)])
+def test_protect_classes_equals_its_two_sort_oracle(ties, held):
+    """Byte for byte, with runs of exact ties in u (0.0 and 1.0 as min-max
+    scaling leaves them, rounded values, one value everywhere), held
+    classes, a class no pixel takes, and IGNORE labels."""
+    rng = np.random.default_rng(len(ties) + 7 * len(held))
+    n, k, h, w = 5, 5, 12, 9
+    p = rng.random((n, k, h, w)) ** 3
+    p[:, 4] = 0.0  # class 4 is never the argmax
+    p /= p.sum(axis=1, keepdims=True)
+    u = rng.random((n, h, w))
+    if ties == "ends":
+        u[rng.random(u.shape) < 0.3] = 0.0
+        u[rng.random(u.shape) < 0.3] = 1.0
+        u[rng.random(u.shape) < 0.1] = -0.0
+    elif ties == "rounded":
+        u = np.round(u, 1)
+    elif ties == "constant":
+        u[:] = 0.5
+    labels = np.where(rng.random((n, h, w)) < 0.2, IGNORE, rng.integers(0, 4, (n, h, w)))
+    hard = p.argmax(axis=1)
+    got = protect_classes(p, u, labels, hard, np.array(held, dtype=np.int64))
+    want = _protect_classes_oracle(p, u, labels, hard, np.array(held, dtype=np.int64))
+    np.testing.assert_array_equal(got[0], want[0])
+    assert got[1].dtype == want[1].dtype and got[1].tobytes() == want[1].tobytes()
 
 
 def test_relabel_labels_are_argmax():
@@ -630,3 +673,62 @@ def test_teacher_predict_restores_student_state():
     assert p.shape[1:] == img.shape[1:]
     np.testing.assert_allclose(p.sum(axis=0), 1.0, atol=1e-9)
     assert u.min() >= 0.0 and u.max() <= 1.0
+
+
+def test_an_a6_step_backward_consumes_its_tape(monkeypatch):
+    """After an A6 step's backward no node of the step but the parameters
+    keeps a gradient, a closure or parents; every parameter keeps its
+    gradient, and a second backward raises and leaves them as they were."""
+    from crispdec.benchmark import LEVELS
+
+    nodes = []
+    from_op = Tensor._from_op.__func__
+
+    def record(cls, data, parents, backward):
+        nodes.append(from_op(cls, data, parents, backward))
+        return nodes[-1]
+
+    monkeypatch.setattr(Tensor, "_from_op", classmethod(record))
+    data = tiny_data(2)
+    model = tiny_model(dtype="float32", **LEVELS["A6"])
+    yhat = np.concatenate([s.seed.yhat for s in data])
+    labels = PseudoLabelSet(yhat, yhat != IGNORE,
+                            np.concatenate([s.seed.seed_uncertainty for s in data]))
+    loss, _ = total_loss(model.forward(np.stack([s.image for s in data])), labels, use_sdf=True)
+    loss.backward()
+    tracked = [t for t in nodes if t.requires_grad]
+    assert len(tracked) > 50
+    for t in tracked:
+        assert t.grad is None and t._parents == ()
+        with pytest.raises(RuntimeError):
+            t._backward(np.ones_like(t.data))
+    grads = {k: p.grad.tobytes() for k, p in model.params.items()}
+    with pytest.raises(RuntimeError):
+        loss.backward()
+    assert {k: p.grad.tobytes() for k, p in model.params.items()} == grads
+
+
+def test_train_sets_the_malloc_thresholds_and_skips_without_mallopt(monkeypatch):
+    """`train` sets M_MMAP_THRESHOLD to 32 MiB and M_TRIM_THRESHOLD to
+    1 GiB through the C library's `mallopt`, and does nothing where the
+    library has no `mallopt` or cannot be loaded."""
+    calls = []
+
+    class Libc:
+        def mallopt(self, param, value):
+            calls.append((param, value))
+            return 1
+
+    monkeypatch.setattr(loop.ctypes, "CDLL", lambda name: Libc())
+    train(TrainConfig(epochs=0, seed=0), tiny_data(2), tiny_model())
+    assert calls == [(-3, 32 << 20), (-1, 1 << 30)]
+
+    monkeypatch.setattr(loop.ctypes, "CDLL", lambda name: object())
+    loop._keep_freed_heap()
+
+    def unloadable(name):
+        raise OSError("no C library")
+
+    monkeypatch.setattr(loop.ctypes, "CDLL", unloadable)
+    loop._keep_freed_heap()
+    assert len(calls) == 2

@@ -337,6 +337,26 @@ def test_interp_matrix_rows_are_two_tap_partitions_of_unity(src, dst):
     assert (m >= 0).all()
 
 
+def test_backward_consumes_the_graph():
+    """Leaves keep their gradient; every other node drops its gradient,
+    its closure and its parents, and a second pass through it raises
+    before any gradient moves."""
+    x = Tensor(np.array([1.0, -2.0, 3.0]), requires_grad=True)
+    y = (x * x).exp()
+    loss = (y * 0.5).sum()
+    loss.backward()
+    grad = x.grad.copy()
+    for node in (y, loss):
+        assert node.grad is None and node._parents == ()
+        with pytest.raises(RuntimeError):
+            node._backward(np.ones_like(node.data))
+    with pytest.raises(RuntimeError):
+        loss.backward()
+    with pytest.raises(RuntimeError):  # a fresh node on top would reach x first
+        (x * y).sum().backward()
+    np.testing.assert_array_equal(x.grad, grad)
+
+
 def test_zero_grad_clears_and_backward_accumulates():
     x = Tensor(np.ones(2), requires_grad=True)
     (x * x).sum().backward()
