@@ -74,14 +74,17 @@ def ece(confidences: np.ndarray, correct: np.ndarray, bins: int = 10) -> float:
     if conf.min() < 0 or conf.max() > 1:
         raise ValueError("confidences must lie in [0,1]")
     idx = np.minimum((conf * bins).astype(int), bins - 1)
+    # a stable sort by bin (a radix sort, on small unsigned keys) makes each
+    # bin one slice, its elements in their original order, so each mean
+    # sums what a boolean-mask gather would
+    order = np.argsort(idx.astype(np.min_scalar_type(bins)), kind="stable")
+    conf, corr = conf[order], corr[order]
+    ends = np.cumsum(np.bincount(idx, minlength=bins)).tolist()
     total = conf.size
     score = 0.0
-    for b in range(bins):
-        sel = idx == b
-        n_b = int(sel.sum())
-        if n_b == 0:
-            continue
-        score += (n_b / total) * abs(corr[sel].mean() - conf[sel].mean())
+    for lo, hi in zip([0] + ends, ends):
+        if hi > lo:
+            score += ((hi - lo) / total) * abs(corr[lo:hi].mean() - conf[lo:hi].mean())
     return float(score)
 
 
@@ -112,18 +115,24 @@ def compactness(mask: np.ndarray) -> float:
 
 _MOORE = [(-1, 0), (-1, 1), (0, 1), (1, 1), (1, 0), (1, -1), (0, -1), (-1, -1)]
 _MOORE_INDEX = {d: i for i, d in enumerate(_MOORE)}
+# _TURN[i, j]: the absolute turn, in radians, of a chain that steps in Moore
+# direction i and then in direction j
+_TURN = np.array([[abs((np.arctan2(d_out[0], d_out[1]) - np.arctan2(d_in[0], d_in[1])
+                        + np.pi) % (2 * np.pi) - np.pi) for d_out in _MOORE]
+                  for d_in in _MOORE])
 
 
-def _trace_boundary(comp: np.ndarray, start: tuple) -> list:
+def _trace_boundary(comp: np.ndarray, start: tuple) -> tuple[list, list]:
     """Moore-neighbor trace of one component's outer boundary, clockwise,
-    Jacob's stopping criterion. Returns the closed pixel chain."""
+    Jacob's stopping criterion. Returns the closed pixel chain and the
+    Moore direction index of each of its steps."""
     h, w = comp.shape
 
     def fg(p):
         return 0 <= p[0] < h and 0 <= p[1] < w and comp[p]
 
     backtrack = (start[0], start[1] - 1)  # entered scanning from the west
-    chain = [start]
+    chain, dirs = [start], []
     cur = start
     first_state = None
     for _ in range(8 * comp.sum() + 8):
@@ -138,7 +147,7 @@ def _trace_boundary(comp: np.ndarray, start: tuple) -> list:
                 break
             backtrack_cand = cand
         if nxt is None:
-            return chain  # isolated pixel
+            return chain, dirs  # isolated pixel
         state = (cur, nxt)
         if first_state is None:
             first_state = state
@@ -146,8 +155,9 @@ def _trace_boundary(comp: np.ndarray, start: tuple) -> list:
             break
         backtrack = backtrack_cand if j > 1 else backtrack
         chain.append(nxt)
+        dirs.append((k0 + j) % 8)
         cur = nxt
-    return chain
+    return chain, dirs
 
 
 def edge_regularity(mask: np.ndarray, curvature_threshold: float = np.pi / 4) -> float:
@@ -163,22 +173,14 @@ def edge_regularity(mask: np.ndarray, curvature_threshold: float = np.pi / 4) ->
         comp = labeled == c
         rows, cols = np.nonzero(comp)
         start = (int(rows[0]), int(cols[0]))
-        chain = _trace_boundary(comp, start)
+        chain, dirs = _trace_boundary(comp, start)
         boundary_pixels.update(chain)
         if len(chain) < 3:
             continue
-        # closed chain: wrap directions around
-        pts = chain[:-1] if chain[0] == chain[-1] else chain
-        n = len(pts)
-        for i in range(n):
-            prev_p, p, next_p = pts[i - 1], pts[i], pts[(i + 1) % n]
-            d_in = (p[0] - prev_p[0], p[1] - prev_p[1])
-            d_out = (next_p[0] - p[0], next_p[1] - p[1])
-            a_in = np.arctan2(d_in[0], d_in[1])
-            a_out = np.arctan2(d_out[0], d_out[1])
-            turn = abs((a_out - a_in + np.pi) % (2 * np.pi) - np.pi)
-            if turn > curvature_threshold + 1e-9:
-                flagged.add(p)
+        # closed chain: pixel i turns from step i-1 (wrapping) into step i
+        dirs = np.array(dirs)
+        turn = _TURN[np.roll(dirs, 1), dirs]
+        flagged.update(chain[i] for i in np.flatnonzero(turn > curvature_threshold + 1e-9))
     if not boundary_pixels:
         return 0.0
     return float(len(flagged) / len(boundary_pixels))

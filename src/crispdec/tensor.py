@@ -10,8 +10,10 @@ against central finite differences at tight tolerances.
 from __future__ import annotations
 
 from contextlib import contextmanager
+from functools import lru_cache
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 __all__ = [
     "Tensor",
@@ -410,19 +412,20 @@ def conv2d(t: Tensor, kernel: Tensor, bias: Tensor | None = None,
     if hout <= 0 or wout <= 0:
         raise ValueError("spatial output would be empty")
 
-    xp = np.pad(t.data, ((0, 0), (0, 0), (p, p), (p, p))) if p else t.data
-    # patches[n, cin, ki, kj, ho, wo]; for a 1x1 stride-1 kernel that is the
-    # input itself, viewed instead of copied
-    if k == 1 and s == 1 and xp.flags.c_contiguous:
-        patches = xp[:, :, None, None]
+    if p:
+        xp = np.zeros((n, cin, h + 2 * p, w + 2 * p), dtype=t.data.dtype)
+        xp[:, :, p:p + h, p:p + w] = t.data
     else:
-        patches = np.empty((n, cin, k, k, hout, wout), dtype=t.data.dtype)
-        for ki in range(k):
-            for kj in range(k):
-                patches[:, :, ki, kj] = xp[:, :, ki:ki + s * hout:s, kj:kj + s * wout:s]
+        xp = t.data
+    # cols[n, cin, ki, kj, ho, wo] = xp[n, cin, ki + s*ho, kj + s*wo], copied
+    # in one pass from a window view; for a 1x1 stride-1 kernel over a
+    # contiguous input the view already is contiguous and is not copied
+    sn, sc, sh, sw = xp.strides
+    cols = np.ascontiguousarray(as_strided(
+        xp, (n, cin, k, k, hout, wout), (sn, sc, sh, sw, s * sh, s * sw), writeable=False))
     # one GEMM per image, with the image as matmul's batch axis: an image's
     # output then sums in the same order whatever batch it is in
-    cols = patches.reshape(n, cin * k * k, hout * wout)
+    cols = cols.reshape(n, cin * k * k, hout * wout)
     kmat = kernel.data.reshape(cout, cin * k * k)
     out_data = np.matmul(kmat, cols).reshape(n, cout, hout, wout)
     if bias is not None:
@@ -443,19 +446,29 @@ def conv2d(t: Tensor, kernel: Tensor, bias: Tensor | None = None,
             t._accumulate(gx.astype(t.data.dtype, copy=False).reshape(t.shape))
         elif t.requires_grad:
             gcols = np.matmul(kmat.T, gmat).reshape(n, cin, k, k, hout, wout)
+            # the first tap is written, not added to zeros: that can leave -0.0
+            # only where the sum gave +0.0, and _accumulate gives the same
+            # bytes for both, as 0 + g or added to a gradient it built, which
+            # holds no -0.0
             gxp = np.zeros_like(xp)
             for ki in range(k):
                 for kj in range(k):
-                    gxp[:, :, ki:ki + s * hout:s, kj:kj + s * wout:s] += gcols[:, :, ki, kj]
+                    tap = gxp[:, :, ki:ki + s * hout:s, kj:kj + s * wout:s]
+                    if ki == kj == 0:
+                        tap[...] = gcols[:, :, 0, 0]
+                    else:
+                        tap += gcols[:, :, ki, kj]
             t._accumulate(gxp[:, :, p:p + h, p:p + w] if p else gxp)
 
     return Tensor._from_op(out_data, parents, bwd)
 
 
+@lru_cache(maxsize=64)
 def _interp_matrix(src: int, dst: int) -> np.ndarray:
     """[dst, src] half-pixel-center bilinear weights: row i blends the two
     source samples nearest output i, clamped at the edges, so each row has
-    at most two nonzeros and sums to 1."""
+    at most two nonzeros and sums to 1. Cached per (src, dst), a model uses
+    a handful of pairs, and read-only, since every caller shares it."""
     coords = (np.arange(dst, dtype=np.float64) + 0.5) * (src / dst) - 0.5
     coords = np.clip(coords, 0.0, src - 1.0)
     lo = np.floor(coords).astype(np.intp)
@@ -465,6 +478,7 @@ def _interp_matrix(src: int, dst: int) -> np.ndarray:
     m = np.zeros((dst, src))
     m[rows, hi] += frac
     m[rows, lo] += 1.0 - frac
+    m.flags.writeable = False
     return m
 
 

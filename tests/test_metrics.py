@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy import ndimage
 
 from crispdec.fileio import IGNORE, write_ctsr, write_pgm
 from crispdec.metrics import (
@@ -16,6 +17,7 @@ from crispdec.metrics import (
     tv_smoothness,
     write_csv,
 )
+from crispdec.metrics import _trace_boundary
 
 
 # -- mIoU ------------------------------------------------------------------------
@@ -177,6 +179,41 @@ def test_ece_rejects_out_of_range():
         ece(np.array([1.5]), np.array([1.0]))
 
 
+def _ece_masked(confidences, correct, bins):
+    """ECE as a boolean-mask gather per bin: the oracle of `ece`."""
+    conf = np.asarray(confidences, dtype=np.float64).ravel()
+    corr = np.asarray(correct, dtype=np.float64).ravel()
+    idx = np.minimum((conf * bins).astype(int), bins - 1)
+    score = 0.0
+    for b in range(bins):
+        sel = idx == b
+        n_b = int(sel.sum())
+        if n_b:
+            score += (n_b / conf.size) * abs(corr[sel].mean() - conf[sel].mean())
+    return float(score)
+
+
+def test_ece_equals_the_boolean_mask_form():
+    """Byte for byte, with confidences tied at the bin edges (k / bins,
+    float32 and float64), bins of thousands of elements, empty bins and
+    one bin."""
+    rng = np.random.default_rng(12)
+    for case in range(300):
+        n = int(rng.integers(1, 5000))
+        bins = int(rng.choice([1, 3, 10, 15]))
+        conf = rng.random(n)
+        if case % 3 == 0:
+            conf = rng.integers(0, bins + 1, n) / bins
+        elif case % 3 == 1:
+            conf = np.where(rng.random(n) < 0.5, rng.integers(0, bins + 1, n) / bins,
+                            0.5 + 0.5 * conf)
+        if case % 4 == 0:
+            conf = conf.astype(np.float32)
+        corr = rng.random(n) < conf
+        got, want = ece(conf, corr, bins), _ece_masked(conf, corr, bins)
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
 # -- structural scores ---------------------------------------------------------------
 
 
@@ -236,6 +273,48 @@ def test_edge_regularity_jagged_higher_than_straight():
 
 def test_edge_regularity_empty_mask_zero():
     assert edge_regularity(np.zeros((5, 5), dtype=bool)) == 0.0
+
+
+def _edge_regularity_per_pixel(mask, curvature_threshold=np.pi / 4):
+    """Edge regularity with each chain pixel's turn from a pair of
+    np.arctan2 calls on its incoming and outgoing steps: the oracle of the
+    turn table in `edge_regularity`."""
+    m = np.asarray(mask).astype(bool)
+    if not m.any():
+        return 0.0
+    labeled, n_comp = ndimage.label(m, structure=np.ones((3, 3), dtype=bool))
+    flagged, boundary_pixels = set(), set()
+    for c in range(1, n_comp + 1):
+        comp = labeled == c
+        rows, cols = np.nonzero(comp)
+        chain, _ = _trace_boundary(comp, (int(rows[0]), int(cols[0])))
+        boundary_pixels.update(chain)
+        if len(chain) < 3:
+            continue
+        pts = chain[:-1] if chain[0] == chain[-1] else chain
+        n = len(pts)
+        for i in range(n):
+            prev_p, p, next_p = pts[i - 1], pts[i], pts[(i + 1) % n]
+            a_in = np.arctan2(p[0] - prev_p[0], p[1] - prev_p[1])
+            a_out = np.arctan2(next_p[0] - p[0], next_p[1] - p[1])
+            turn = abs((a_out - a_in + np.pi) % (2 * np.pi) - np.pi)
+            if turn > curvature_threshold + 1e-9:
+                flagged.add(p)
+    return float(len(flagged) / len(boundary_pixels))
+
+
+def test_edge_regularity_equals_the_per_pixel_arctan2_form():
+    """Exactly, on random masks of every density, opened masks with long
+    smooth runs, single pixels and two-pixel components, at three
+    thresholds, one of them between the table's turn angles."""
+    rng = np.random.default_rng(13)
+    for case in range(300):
+        h, w = (int(v) for v in rng.integers(1, 30, 2))
+        m = rng.random((h, w)) < rng.random()
+        if case % 2:
+            m = ndimage.binary_opening(m) | (rng.random((h, w)) < 0.03)
+        for threshold in (np.pi / 4, np.pi / 2, 0.3):
+            assert edge_regularity(m, threshold) == _edge_regularity_per_pixel(m, threshold)
 
 
 def test_structural_scores_background_only():

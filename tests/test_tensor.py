@@ -243,7 +243,11 @@ def test_conv2d_1x1_input_gradient_equals_the_scatter_form(cout, x_dtype, k_dtyp
     """Byte for byte, zeros in the input and the upstream gradient
     included (at some pixels in every output channel, so the products there
     are signed zeros), and added to a gradient the input already holds,
-    with -0.0 in it, as a ReLU's backward leaves."""
+    with -0.0 in it, as a ReLU's backward leaves. The bytes hold only for
+    products that do not underflow: one that rounds to zero keeps its sign
+    in an FMA-based GEMM, which may then sum to -0.0 where the scatter
+    form's zero-filled map gives 0.0, depending on the shape (see the
+    underflow test below)."""
     rng = np.random.default_rng(8)
     x = np.where(rng.random((3, 6, 5, 7)) < 0.2, 0.0, rng.standard_normal((3, 6, 5, 7)))
     x = Tensor(x.astype(x_dtype), requires_grad=True)
@@ -261,6 +265,133 @@ def test_conv2d_1x1_input_gradient_equals_the_scatter_form(cout, x_dtype, k_dtyp
         want = prior + want
     assert x.grad.dtype == want.dtype == np.dtype(x_dtype)
     assert x.grad.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("x_dtype, k_dtype, tiny", [
+    ("float32", "float32", (-1e-20, 1e-30)), ("float64", "float64", (-1e-30, 1e-300)),
+])
+def test_conv2d_1x1_input_gradient_with_underflowing_products(x_dtype, k_dtype, tiny):
+    """Products that underflow: a negative weight against an upstream
+    entry so small that their product rounds to -0.0. The GEMM may then
+    give -0.0 where the scatter form gives 0.0, so only the values are
+    pinned here, and the signs of those zeros are not."""
+    rng = np.random.default_rng(18)
+    x = Tensor(rng.standard_normal((3, 6, 5, 7)).astype(x_dtype), requires_grad=True)
+    kern = rng.standard_normal((5, 6, 1, 1))
+    kern[:, :3] = tiny[0]
+    kern = Tensor(kern.astype(k_dtype), requires_grad=True)
+    out = conv2d(x, kern)
+    g = rng.standard_normal(out.shape)
+    g[:, :, rng.random((5, 7)) < 0.5] = tiny[1]
+    g = g.astype(out.data.dtype)
+    prior = np.where(rng.random(x.shape) < 0.5, -0.0, rng.standard_normal(x.shape))
+    x.grad = prior.astype(x_dtype)
+    out._backward(g)
+    scatter = _conv1x1_input_grad_scatter(g, kern.data, x.data)
+    assert (scatter[:, :3] == 0).any()  # some sums are all underflowed products
+    np.testing.assert_array_equal(x.grad, prior.astype(x_dtype) + scatter)
+
+
+def _conv2d_reference(x, kern, bias, padding, stride, g, prior=None):
+    """conv2d's output and the gradients it leaves in input, kernel and
+    bias, as the k x k slab path forms them: the columns copied tap by tap
+    from an np.pad-ed map, the input gradient added tap by tap into zeros,
+    and each gradient accumulated as 0 + g, or added to the input's
+    `prior` gradient."""
+    n, cin, h, w = x.shape
+    cout, _, k, _ = kern.shape
+    p, s = padding, stride
+    hout, wout = (h + 2 * p - k) // s + 1, (w + 2 * p - k) // s + 1
+    xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
+    patches = np.empty((n, cin, k, k, hout, wout), dtype=x.dtype)
+    for ki in range(k):
+        for kj in range(k):
+            patches[:, :, ki, kj] = xp[:, :, ki:ki + s * hout:s, kj:kj + s * wout:s]
+    cols = patches.reshape(n, cin * k * k, hout * wout)
+    kmat = kern.reshape(cout, cin * k * k)
+    out = np.matmul(kmat, cols).reshape(n, cout, hout, wout) + bias.reshape(1, cout, 1, 1)
+    gmat = g.reshape(n, cout, hout * wout)
+    gk = np.matmul(gmat, cols.transpose(0, 2, 1)).sum(axis=0).reshape(kern.shape)
+    gcols = np.matmul(kmat.T, gmat).reshape(n, cin, k, k, hout, wout)
+    gxp = np.zeros_like(xp)
+    for ki in range(k):
+        for kj in range(k):
+            gxp[:, :, ki:ki + s * hout:s, kj:kj + s * wout:s] += gcols[:, :, ki, kj]
+    grads = [np.add(0.0, gr, out=np.empty_like(a))
+             for gr, a in zip((gxp[:, :, p:p + h, p:p + w], gk, g.sum(axis=(0, 2, 3))),
+                              (x, kern, bias))]
+    if prior is not None:
+        grads[0] = prior + gxp[:, :, p:p + h, p:p + w]
+    return out, grads
+
+
+def _conv2d_case(rng, n, stride, x_dtype, k_dtype, size=9):
+    """Input, kernel, bias and upstream gradient of a 3x3 conv, with zeros
+    in the input and the upstream gradient and negative weights, so signed
+    zero products occur."""
+    x = np.where(rng.random((n, 4, size, size)) < 0.2, 0.0,
+                 rng.standard_normal((n, 4, size, size))).astype(x_dtype)
+    kern = rng.standard_normal((3, 4, 3, 3)).astype(k_dtype)
+    bias = rng.standard_normal(3).astype(k_dtype)
+    hout = (size + 2 - 3) // stride + 1
+    g = np.where(rng.random((n, 3, hout, hout)) < 0.3, 0.0,
+                 rng.standard_normal((n, 3, hout, hout)))
+    g[:, :, rng.random((hout, hout)) < 0.2] = 0.0
+    return x, kern, bias, g.astype(np.result_type(x_dtype, k_dtype))
+
+
+def _conv2d_bytes(x, kern, bias, padding, stride, g, prior=None):
+    """conv2d's output and input, kernel and bias gradients after one
+    backward of `g`, the input holding `prior` as its gradient beforehand."""
+    leaves = [Tensor(a.copy(), requires_grad=True) for a in (x, kern, bias)]
+    leaves[0].grad = None if prior is None else prior.copy()
+    out = conv2d(*leaves, padding, stride)
+    out._backward(g)
+    return [out.data.tobytes()] + [t.grad.tobytes() for t in leaves]
+
+
+@pytest.mark.parametrize("n, stride, x_dtype, k_dtype", [
+    pytest.param(1, 1, "float64", "float32", id="3x3-f64-input-f32-kernel"),
+    pytest.param(16, 1, "float64", "float32", id="3x3-f64-input-f32-kernel-batch16"),
+    pytest.param(1, 1, "float32", "float32", id="3x3-f32"),
+    pytest.param(1, 2, "float64", "float64", id="3x3s2"),
+    pytest.param(16, 2, "float32", "float32", id="3x3s2-batch16"),
+])
+@pytest.mark.parametrize("grad_before", [False, True])
+def test_conv2d_equals_the_slab_reference(n, stride, x_dtype, k_dtype, grad_before):
+    """Output and all three gradients byte for byte, signbits included,
+    also added to an input gradient that, as `_accumulate` builds every
+    gradient, holds +0.0 and never -0.0."""
+    rng = np.random.default_rng(20)
+    x, kern, bias, g = _conv2d_case(rng, n, stride, x_dtype, k_dtype)
+    prior = None
+    if grad_before:
+        prior = np.where(rng.random(x.shape) < 0.3, 0.0, rng.standard_normal(x.shape))
+        prior = np.add(0.0, prior.astype(x_dtype))
+    out, grads = _conv2d_reference(x, kern, bias, 1, stride, g, prior)
+    got = _conv2d_bytes(x, kern, bias, 1, stride, g, prior)
+    assert got == [out.tobytes()] + [gr.tobytes() for gr in grads]
+
+
+@pytest.mark.parametrize("n", [1, 16])
+def test_conv2d_first_tap_holding_negative_zero(n):
+    """The input gradient writes its first tap instead of adding it to
+    zeros, which keeps a -0.0 the zero-filled sum turns into 0.0. Here
+    every weight of input channel 0 meets upstream entries so small that
+    each product underflows to -0.0, so all nine taps hold -0.0 over a
+    block and the written map keeps it; the gradient the input ends with
+    is still byte-equal, because it is accumulated as 0 + g."""
+    rng = np.random.default_rng(21)
+    x, kern, bias, g = _conv2d_case(rng, n, 1, "float64", "float64")
+    kern[:, 0] = -1e-30
+    g[:, :, :4, :4] = 1e-300
+    taps = np.matmul(kern.reshape(3, -1).T, g.reshape(n, 3, -1))[:, :9]
+    taps = taps.reshape(n, 9, *g.shape[2:])[:, :, :4, :4]
+    if not (np.signbit(taps) & (taps == 0)).all():
+        pytest.skip("this BLAS sums the underflowed products to +0.0")
+    out, grads = _conv2d_reference(x, kern, bias, 1, 1, g)
+    assert _conv2d_bytes(x, kern, bias, 1, 1, g) == [out.tobytes()] + [
+        gr.tobytes() for gr in grads]
 
 
 def test_bilinear_upsample_constant_preserved():
@@ -335,6 +466,29 @@ def test_interp_matrix_rows_are_two_tap_partitions_of_unity(src, dst):
     np.testing.assert_allclose(m.sum(axis=1), 1.0, rtol=0, atol=1e-15)
     assert ((m != 0).sum(axis=1) <= 2).all()
     assert (m >= 0).all()
+
+
+def test_interp_matrix_is_built_once_and_read_only():
+    m = _interp_matrix(5, 16)
+    assert _interp_matrix(5, 16) is m
+    np.testing.assert_array_equal(m, _interp_matrix.__wrapped__(5, 16))
+    with pytest.raises(ValueError):
+        m[0, 0] = 2.0
+    assert m[0, 0] == 1.0
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_bilinear_upsample_is_unchanged_across_repeated_calls(dtype):
+    rng = np.random.default_rng(10)
+    x = rng.standard_normal((2, 3, 5, 7)).astype(dtype)
+    g = rng.standard_normal((2, 3, 16, 20))
+    results = []
+    for _ in range(3):
+        t = Tensor(x, requires_grad=True)
+        y = bilinear_upsample(t, 16, 20)
+        (y * g).sum().backward()
+        results.append((y.data.tobytes(), t.grad.tobytes()))
+    assert results[0] == results[1] == results[2]
 
 
 def test_backward_consumes_the_graph():
