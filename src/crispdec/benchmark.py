@@ -16,6 +16,7 @@ import contextlib
 import json
 import multiprocessing
 import os
+import time
 
 import numpy as np
 
@@ -124,9 +125,12 @@ def _init_worker(train_data: list, eval_data: list) -> None:
     _worker_data = (train_data, eval_data)
 
 
-def _run_task(task: tuple) -> dict:
+def _run_task(task: tuple) -> tuple[dict, float]:
+    """The scores of one run and the CPU seconds its worker spent on it."""
     level, seed = task
-    return run_level(level, seed, *_worker_data)
+    start = time.process_time()
+    scores = run_level(level, seed, *_worker_data)
+    return scores, time.process_time() - start
 
 
 @contextlib.contextmanager
@@ -154,8 +158,9 @@ def run_ablation(levels=("A0", "A1", "A4", "A6"), seeds=(0, 1, 2),
     Every (level, seed) run trains from its own seed, so the runs are
     spread over spawned worker processes, one per usable CPU (at most
     MAX_WORKERS); the scores are those that `run_level` gives in this
-    process. A script that calls this must guard its own work with
-    `if __name__ == "__main__":`, since spawned workers import it.
+    process. `verbose` prints each run's scores and CPU seconds as it
+    ends, then the total CPU. A script that calls this must guard its own
+    work with `if __name__ == "__main__":`, since spawned workers import it.
     """
     if train_data is None or eval_data is None:
         train_data, eval_data = make_benchmark_data()
@@ -165,16 +170,21 @@ def run_ablation(levels=("A0", "A1", "A4", "A6"), seeds=(0, 1, 2),
     workers = min(_usable_cpus(), MAX_WORKERS, len(tasks))
 
     scores: dict = {}
+    total_cpu = 0.0
     ctx = multiprocessing.get_context("spawn")
     with _single_blas_thread():
         pool = ctx.Pool(workers, initializer=_init_worker,
                         initargs=(train_data, eval_data))
     with pool:
-        for r in pool.imap_unordered(_run_task, tasks):
+        for r, cpu_s in pool.imap_unordered(_run_task, tasks):
             scores[r["level"], r["seed"]] = r
+            total_cpu += cpu_s
             if verbose:
                 print(f"{r['level']} seed={r['seed']}: miou={r['miou']:.4f} "
-                      f"bf1={r['boundary_f1']:.4f} ece={r['ece']:.4f}", flush=True)
+                      f"bf1={r['boundary_f1']:.4f} ece={r['ece']:.4f} "
+                      f"cpu={cpu_s:.1f} s", flush=True)
+    if verbose:
+        print(f"total cpu={total_cpu:.1f} s over {len(tasks)} runs", flush=True)
 
     results = {}
     for level in levels:

@@ -198,9 +198,9 @@ def teacher_predict(model: SegModel, teacher: TeacherState,
         with no_grad():
             out = model.forward(images)
             h, w = images.shape[2], images.shape[3]
-            zstar_up = bilinear_upsample(out.zstar, h, w)
+            zstar_up = bilinear_upsample(out.zstar, h, w, np.float64)
             p = softmax(zstar_up, axis=1)
-            u_up = None if out.u_ale is None else bilinear_upsample(out.u_ale, h, w)
+            u_up = None if out.u_ale is None else bilinear_upsample(out.u_ale, h, w, np.float64)
             u, _ = mix_uncertainty(u_up, p, log_softmax(zstar_up, axis=1), ALPHA)
     finally:
         model.load_state_dict(student_state)

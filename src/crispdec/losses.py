@@ -316,13 +316,13 @@ def total_loss(outputs, labels: PseudoLabelSet, use_sdf: bool) -> tuple[Tensor, 
     upsampled aleatoric map are computed once and shared by the terms.
     """
     n, h, w = labels.yhat.shape
-    zstar_up = bilinear_upsample(outputs.zstar, h, w)
+    zstar_up = bilinear_upsample(outputs.zstar, h, w, np.float64)
     p = softmax(zstar_up, axis=1)
     logp = log_softmax(zstar_up, axis=1)
 
     wmap, mean_w = None, 1.0
     if outputs.u_ale is not None:
-        u_up = bilinear_upsample(outputs.u_ale, h, w)
+        u_up = bilinear_upsample(outputs.u_ale, h, w, np.float64)
         _, wmap = mix_uncertainty(u_up, p, logp, ALPHA)
         mean_w = float(wmap.data.mean())
 
@@ -332,14 +332,14 @@ def total_loss(outputs, labels: PseudoLabelSet, use_sdf: bool) -> tuple[Tensor, 
 
     l_het = Tensor(0.0)
     if outputs.sigma2 is not None:
-        z_up = bilinear_upsample(outputs.z, h, w)
+        z_up = bilinear_upsample(outputs.z, h, w, np.float64)
         l_het = heteroscedastic_loss(log_softmax(z_up, axis=1), labels, u_up)
         total = total + LAMBDA_HET * l_het
 
     l_bnd = l_sdf = Tensor(0.0)
     if outputs.edge_logits is not None:
         band, sup, phi = label_geometry(labels, use_sdf)
-        e_up = bilinear_upsample(outputs.edge_logits, h, w)
+        e_up = bilinear_upsample(outputs.edge_logits, h, w, np.float64)
         l_bnd = boundary_loss(e_up, band[:, None], sup[:, None])
         total = total + LAMBDA_BND * l_bnd
         if use_sdf:

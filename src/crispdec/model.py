@@ -26,6 +26,9 @@ class ModelConfig:
     use_udmf: bool = True                # uncertainty-modulated second fusion pass
     use_ema: bool = True                 # EMA teacher and relabeling
     seed: int = 0
+    # float32 computes the encoder and every 1/4-resolution decoder map in
+    # float32; the full-resolution logits, probabilities, uncertainty and
+    # loss terms stay float64
     dtype: str = "float64"
 
     def __post_init__(self):
@@ -77,7 +80,7 @@ class SegModel:
         h, w = arr.shape[2] , arr.shape[3]
         with no_grad():
             out = self.forward(arr)
-            p = softmax(bilinear_upsample(out.zstar, h, w), axis=1).data
+            p = softmax(bilinear_upsample(out.zstar, h, w, np.float64), axis=1).data
         return p.argmax(axis=1), p.max(axis=1)
 
     def zero_grad(self):

@@ -464,11 +464,12 @@ def conv2d(t: Tensor, kernel: Tensor, bias: Tensor | None = None,
 
 
 @lru_cache(maxsize=64)
-def _interp_matrix(src: int, dst: int) -> np.ndarray:
+def _interp_matrix(src: int, dst: int, dtype=np.float64) -> np.ndarray:
     """[dst, src] half-pixel-center bilinear weights: row i blends the two
     source samples nearest output i, clamped at the edges, so each row has
-    at most two nonzeros and sums to 1. Cached per (src, dst), a model uses
-    a handful of pairs, and read-only, since every caller shares it."""
+    at most two nonzeros and sums to 1. Built in float64 and rounded to
+    `dtype`. Cached per (src, dst, dtype), a model uses a handful of
+    triples, and read-only, since every caller shares it."""
     coords = (np.arange(dst, dtype=np.float64) + 0.5) * (src / dst) - 0.5
     coords = np.clip(coords, 0.0, src - 1.0)
     lo = np.floor(coords).astype(np.intp)
@@ -478,14 +479,17 @@ def _interp_matrix(src: int, dst: int) -> np.ndarray:
     m = np.zeros((dst, src))
     m[rows, hi] += frac
     m[rows, lo] += 1.0 - frac
+    m = m.astype(dtype, copy=False)
     m.flags.writeable = False
     return m
 
 
-def bilinear_upsample(t: Tensor, target_h: int, target_w: int) -> Tensor:
+def bilinear_upsample(t: Tensor, target_h: int, target_w: int, dtype=None) -> Tensor:
     """Bilinear interpolation to (target_h, target_w), half-pixel centers
     (align_corners false). Mean-preserving on constant inputs. Separable and
-    linear, so the forward is R_h X R_w^T and the backward its transpose."""
+    linear, so the forward is R_h X R_w^T and the backward its transpose.
+    The weights are in `dtype`, by default the input's, and numpy's type
+    promotion gives the output the wider of the two."""
     if t.data.ndim != 4:
         raise ValueError("bilinear_upsample expects an N,C,H,W tensor")
     h, w = t.shape[2:]
@@ -493,11 +497,12 @@ def bilinear_upsample(t: Tensor, target_h: int, target_w: int) -> Tensor:
         raise ValueError("zero-sized spatial dimensions")
     if target_h < h or target_w < w:
         raise ValueError("only upsampling is supported")
+    dtype = np.dtype(t.data.dtype if dtype is None else dtype).type
     if (target_h, target_w) == (h, w):
-        return t * 1.0  # identity, but keeps a graph node
+        return t * np.ones((), dtype)  # identity, but keeps a graph node
 
-    rh = _interp_matrix(h, target_h)
-    rw = _interp_matrix(w, target_w)
+    rh = _interp_matrix(h, target_h, dtype)
+    rw = _interp_matrix(w, target_w, dtype)
 
     def bwd(g):
         t._accumulate(rh.T @ g @ rw)

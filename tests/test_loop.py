@@ -1,11 +1,13 @@
 import csv
+import dataclasses
 import math
 import os
 
 import numpy as np
 import pytest
 
-from crispdec import loop
+from crispdec import decoder, loop, synthdata, tensor
+from crispdec import model as model_module
 from crispdec.fileio import IGNORE
 from crispdec.loop import (
     LOG_COLUMNS,
@@ -360,6 +362,43 @@ def test_relabel_all_stores_the_teacher_uncertainty():
     _, u = teacher_predict(model, teacher, np.stack([s.image for s in data]))
     for s, u_i in zip(data, u):
         np.testing.assert_array_equal(s.seed.seed_uncertainty[0], u_i)
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+@pytest.mark.parametrize("level", ["A0", "A1", "A4", "A6", "U0"])
+def test_the_decoder_computes_in_the_model_dtype(monkeypatch, level, dtype):
+    """In a training step, in teacher_predict and in predict, every decoder
+    output is in the model dtype and every conv2d input in its kernel's;
+    the full-resolution maps stay float64 at either dtype."""
+    from crispdec.benchmark import LEVELS
+
+    convs, outputs = [], []
+
+    def conv_spy(t, kernel, *args, **kwargs):
+        convs.append((t.data.dtype, kernel.data.dtype))
+        return tensor.conv2d(t, kernel, *args, **kwargs)
+
+    def forward_spy(*args, **kwargs):
+        outputs.append(decoder.decoder_forward(*args, **kwargs))
+        return outputs[-1]
+
+    monkeypatch.setattr(decoder, "conv2d", conv_spy)
+    monkeypatch.setattr(synthdata, "conv2d", conv_spy)
+    monkeypatch.setattr(model_module, "decoder_forward", forward_spy)
+    model = tiny_model(dtype=dtype, **LEVELS[level])
+    data = tiny_data(2)
+    images = np.stack([s.image for s in data])
+    train(TrainConfig(epochs=1, batch_size=2, relabel_period=0, seed=0), data, model)
+    p, u = teacher_predict(model, TeacherState(model.state_dict()), images)
+    _, conf = model.predict(images)
+
+    want = np.dtype(dtype)
+    assert len(outputs) == 3
+    for out in outputs:
+        maps = [getattr(out, f.name) for f in dataclasses.fields(out)]
+        assert {m.data.dtype for m in maps if m is not None} == {want}
+    assert convs and set(convs) == {(want, want)}
+    assert p.dtype == u.dtype == conf.dtype == np.float64
 
 
 @pytest.mark.parametrize("dtype", ["float64", "float32"])

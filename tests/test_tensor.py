@@ -469,12 +469,39 @@ def test_interp_matrix_rows_are_two_tap_partitions_of_unity(src, dst):
 
 
 def test_interp_matrix_is_built_once_and_read_only():
-    m = _interp_matrix(5, 16)
-    assert _interp_matrix(5, 16) is m
-    np.testing.assert_array_equal(m, _interp_matrix.__wrapped__(5, 16))
-    with pytest.raises(ValueError):
-        m[0, 0] = 2.0
-    assert m[0, 0] == 1.0
+    # one cached, read-only array per (src, dst, dtype); float32 is the
+    # float64 matrix rounded, and float64 is the default
+    m64 = _interp_matrix(5, 16, np.float64)
+    np.testing.assert_array_equal(m64, _interp_matrix.__wrapped__(5, 16))
+    for dtype in (np.float32, np.float64):
+        m = _interp_matrix(5, 16, dtype)
+        assert _interp_matrix(5, 16, dtype) is m and m.dtype == dtype
+        assert m.tobytes() == m64.astype(dtype).tobytes()
+        with pytest.raises(ValueError):
+            m[0, 0] = 2.0
+        assert m[0, 0] == 1.0
+    assert _interp_matrix(5, 16, np.float32) is not _interp_matrix(5, 16, np.float64)
+
+
+@pytest.mark.parametrize("dtype", [None, np.float64])
+def test_bilinear_upsample_interpolates_in_the_given_dtype(dtype):
+    # float32 input: the weights are float32 by default, so the output is;
+    # an explicit float64 gives float64 weights and output, as before the
+    # decoder kept its dtype. The gradient lands in the input's dtype.
+    rng = np.random.default_rng(11)
+    x = Tensor(rng.standard_normal((2, 3, 4, 5)).astype(np.float32), requires_grad=True)
+    g = rng.standard_normal((2, 3, 16, 20)).astype(np.float32 if dtype is None else dtype)
+    rh = _interp_matrix(4, 16, dtype or np.float32)
+    rw = _interp_matrix(5, 20, dtype or np.float32)
+    y = bilinear_upsample(x, 16, 20, dtype)
+    assert y.data.dtype == (dtype or np.float32)
+    assert y.data.tobytes() == (rh @ x.data @ rw.T).tobytes()
+    (y * g).sum().backward()
+    assert x.grad.dtype == np.float32
+    assert x.grad.tobytes() == (rh.T @ g @ rw).astype(np.float32).tobytes()
+    same = bilinear_upsample(x, 4, 5, dtype)
+    assert same.data.dtype == (dtype or np.float32)
+    np.testing.assert_array_equal(same.data, x.data)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
