@@ -19,8 +19,8 @@ pyr = FeaturePyramid(
 params = DecoderParams(ModelConfig(use_udmf=False), rng)  # one fusion pass
 out = decoder_forward(pyr, params)
 
-print("predicted variance range:", float(out.sigma2.data.min()),
-      "..", float(out.sigma2.data.max()))
+print("aleatoric map range (channel-mean variance):", float(out.u_ale.data.min()),
+      "..", float(out.u_ale.data.max()))
 print("gate at init (should sit near 0.1):", float(out.gate.data.mean()))
 print("max |Z* - Z| at init (correction tower starts at zero):",
       float(np.abs(out.zstar.data - out.z.data).max()))

@@ -137,8 +137,10 @@ def _run_task(task: tuple) -> tuple[dict, float]:
 def _single_blas_thread():
     """Processes started inside see BLAS pinned to one thread. Each worker
     runs one training, so threads of its own would only contend for the
-    same cores (two 2-thread workers on 2 cores ran at half speed); the
-    scores do not depend on the thread count."""
+    same cores (two 2-thread workers on 2 cores ran at half speed). The
+    waterfall trains at float32, whose bytes do not depend on the thread
+    count; float64 A4 and A6 training does, through OpenBLAS's float64
+    GEMM."""
     saved = {k: os.environ.get(k) for k in _BLAS_THREAD_VARS}
     os.environ.update({k: "1" for k in _BLAS_THREAD_VARS})
     try:

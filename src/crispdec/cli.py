@@ -176,6 +176,8 @@ def cmd_gradcheck(args) -> int:
 def cmd_metrics(args) -> int:
     from .metrics import evaluate, write_csv
 
+    if args.band < 1:
+        raise UsageError(f"--band must be at least 1, got {args.band}")
     rows, errors = evaluate(args.pred, args.gt, args.classes,
                             band_px=args.band, conf_dir=args.conf)
     write_csv(args.out, rows)

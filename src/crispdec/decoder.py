@@ -55,7 +55,6 @@ class DecoderOutputs:
     z: Tensor                  # pre-refine logits [N,K,H/4,W/4]
     zstar: Tensor              # refined logits (== z when refinement is off)
     weights: Tensor | None     # fusion weights [N,4,H/4,W/4]; None for static fusion
-    sigma2: Tensor | None      # per-class variance
     u_ale: Tensor | None       # channel-mean variance [N,1,H/4,W/4]
     gate: Tensor | None
     delta: Tensor | None
@@ -196,11 +195,10 @@ def static_fuse(e_list: list[Tensor], params: DecoderParams) -> Tensor:
     return conv2d(x, params["fuse.w"], params["fuse.b"])
 
 
-def variance_branch(fused: Tensor, params: DecoderParams) -> tuple[Tensor, Tensor]:
+def variance_branch(fused: Tensor, params: DecoderParams) -> Tensor:
+    """The aleatoric map: the channel mean of the per-class variance."""
     raw = conv2d(fused, params["var.w"], params["var.b"])
-    sigma2 = raw.softplus() + VAR_EPS
-    u_ale = sigma2.mean(axis=1, keepdims=True)
-    return sigma2, u_ale
+    return (raw.softplus() + VAR_EPS).mean(axis=1, keepdims=True)
 
 
 def ugr_refine(fused: Tensor, z: Tensor, u_ale: Tensor, params: DecoderParams,
@@ -239,16 +237,16 @@ def decoder_forward(pyramid: FeaturePyramid, params: DecoderParams,
         fused = static_fuse(e_list, params)
     elif cfg.use_udmf:
         fused0, _ = dmf_fuse(e_list, params)
-        _, u0 = variance_branch(fused0, params)
+        u0 = variance_branch(fused0, params)
         fused, weights = dmf_fuse(e_list, params, u_down=u0)
     else:
         fused, weights = dmf_fuse(e_list, params)
 
     z = conv2d(fused, params["seg.w"], params["seg.b"])
 
-    sigma2 = u_ale = None
+    u_ale = None
     if cfg.use_var:
-        sigma2, u_ale = variance_branch(fused, params)
+        u_ale = variance_branch(fused, params)
 
     zstar, gate, delta = z, None, None
     if cfg.use_ugr:
@@ -259,5 +257,5 @@ def decoder_forward(pyramid: FeaturePyramid, params: DecoderParams,
         # the boundary head taps the projected C1 stream, not the fused map
         edge_logits = boundary_branch(e_list[0], params)
 
-    return DecoderOutputs(z=z, zstar=zstar, weights=weights, sigma2=sigma2,
-                          u_ale=u_ale, gate=gate, delta=delta, edge_logits=edge_logits)
+    return DecoderOutputs(z=z, zstar=zstar, weights=weights, u_ale=u_ale,
+                          gate=gate, delta=delta, edge_logits=edge_logits)

@@ -114,7 +114,8 @@ _MANIFEST_LINE = re.compile(r"([A-Za-z0-9_.]+)\t((?:\d{1,9}(?:x\d{1,9})*)?)\t[^\
 
 def load_checkpoint(directory) -> dict:
     """Parameter arrays by name; a manifest or CTSR file that does not
-    parse, or a manifest line naming no file, raises FormatError."""
+    parse, a manifest line naming no file, or a non-finite parameter
+    raises FormatError."""
     manifest = os.path.join(directory, "manifest.txt")
     if not os.path.exists(manifest):
         raise FormatError(f"{directory}: missing manifest.txt")
@@ -136,6 +137,8 @@ def load_checkpoint(directory) -> dict:
             expect = tuple(int(s) for s in shape_s.split("x")) if shape_s else ()
             if arr.shape != expect:
                 raise FormatError(f"{name}: manifest shape {expect} != file shape {arr.shape}")
+            if not np.isfinite(arr).all():
+                raise FormatError(f"{path}: non-finite parameter values")
             out[name] = arr
     return out
 

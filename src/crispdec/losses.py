@@ -6,10 +6,9 @@ All reductions are means over contributing pixels so the scale of each term
 does not depend on image size. Invalid (ignored) pixels contribute exactly
 zero, including to gradients.
 
-Each term is one tape node, whose backward is the chain rule through its
-primitives in the order `Tensor.backward` would visit them, so it rounds as
-they would; it skips their copies and broadcasts, which only made signs of
-zeros that no input's gradient keeps.
+Each term is one tape node with a closed-form backward. `total_loss`
+feeds the terms full-resolution float64 maps, so the rounding of their
+backward stays far below what a float32 model's gradients keep.
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ import numpy as np
 
 from .fileio import IGNORE
 from .geometry import PHI_SENTINEL, boundary_band, dilate_square, signed_distance
-from .tensor import Tensor, _sigmoid, _unbroadcast, bilinear_upsample, log_softmax, softmax
+from .tensor import Tensor, _sigmoid, bilinear_upsample, log_softmax, softmax
 
 DICE_SMOOTH = 1.0
 _MINMAX_TINY = 1e-12
@@ -87,9 +86,9 @@ def masked_ce(logp: Tensor, labels: PseudoLabelSet, w=None) -> Tensor:
     def bwd(g):
         g = g / n_valid
         if w is not None and w.requires_grad:
-            w._accumulate(_unbroadcast(g * nll, w.shape))
-        if logp.requires_grad:  # 0.0 - x rounds as the chain's 0.0 + -(0.0 + x)
-            logp._accumulate(np.subtract(0.0, g if w is None else g * w.data) * oh)
+            w._accumulate(g * nll)
+        if logp.requires_grad:
+            logp._accumulate((-g if w is None else -g * w.data) * oh)
 
     return Tensor._from_op(total / n_valid, (logp,) if w is None else (logp, w), bwd)
 
@@ -97,53 +96,46 @@ def masked_ce(logp: Tensor, labels: PseudoLabelSet, w=None) -> Tensor:
 def masked_dice(p: Tensor, labels: PseudoLabelSet, w=None) -> Tensor:
     """Soft Dice of probabilities over the valid region, averaged over the
     classes present in the valid targets; the pixel weight `w` (as in
-    `masked_ce`) enters both soft sums, taken for all classes at once. p + y
-    is a node of its own, a parent listed after `w`, so that its gradient
-    reaches p after the weights' gradient, as it does in the chain."""
+    `masked_ce`) enters both soft sums, taken for all classes at once."""
     oh, vm = _targets(labels, p.shape[1])
     if int(labels.valid.sum()) == 0:
         warnings.warn("masked_dice: no valid pixels, returning 0")
         return Tensor(0.0)
     present = oh.any(axis=(0, 2, 3))
-    py = p + Tensor(oh)
     wt = vm if w is None else w.data * vm
     num = 2.0 * (wt * p.data * oh).sum(axis=(0, 2, 3)) + DICE_SMOOTH
-    den = (wt * py.data).sum(axis=(0, 2, 3)) + DICE_SMOOTH
+    den = (wt * (p.data + oh)).sum(axis=(0, 2, 3)) + DICE_SMOOTH
     dice = 1.0 - num / den
 
     def bwd(g):
         g_dice = np.where(present, g / present.sum(), 0.0)
-        g_den = (g_dice * num / (den * den))[:, None, None]  # per class, into wt * (p + y)
-        g_wp = (-g_dice / den * 2.0)[:, None, None] * oh  # py's share clears its -0.0
+        g_den = (g_dice * num / (den * den))[:, None, None]
+        g_p = g_den - (2.0 * g_dice / den)[:, None, None] * oh  # d loss / d p, per unit weight
         if w is not None and w.requires_grad:
-            g_wt = 0.0 + _unbroadcast(g_wp * p.data, wt.shape)
-            g_wt += _unbroadcast(g_den * py.data, wt.shape)
-            w._accumulate(_unbroadcast(g_wt * vm, w.shape))
+            w._accumulate((g_p * p.data + g_den * oh).sum(axis=1, keepdims=True) * vm)
         if p.requires_grad:
-            p._accumulate(g_wp * wt)
-            py._accumulate(g_den * wt)
+            p._accumulate(g_p * wt)
 
     return Tensor._from_op(dice[present].sum() / present.sum(),
-                           (p, py) if w is None else (p, w, py), bwd)
+                           (p,) if w is None else (p, w), bwd)
 
 
 def _minmax_normalize(x: np.ndarray):
     """Per-image min-max scaling of x [N,...] into [0,1] (a constant map
-    maps to zeros), and a function from its gradient to x's three shares,
-    in the chain's order: through the centering, the max, then the min."""
+    maps to zeros), and the function from its gradient to x's."""
     axes = tuple(range(1, x.ndim))
     lo, hi = x.min(axis=axes, keepdims=True), x.max(axis=axes, keepdims=True)
-    num, den = x - lo, (hi - lo) + np.asarray(_MINMAX_TINY, dtype=lo.dtype)
+    num, den = x - lo, (hi - lo) + _MINMAX_TINY
     at_lo, at_hi = x == lo, x == hi
+    n_lo, n_hi = at_lo.sum(axis=axes, keepdims=True), at_hi.sum(axis=axes, keepdims=True)
 
-    def grads(g):
-        g_num = 0.0 + g / den  # the first share: no -0.0 in g or later shares survives
-        g_den = _unbroadcast(-g * num / (den * den), den.shape)
-        g_lo = -_unbroadcast(g_num, lo.shape) - g_den
-        return (g_num, at_hi * (g_den / at_hi.sum(axis=axes, keepdims=True)),
-                at_lo * (g_lo / at_lo.sum(axis=axes, keepdims=True)))
+    def grad(g):
+        g_num = g / den
+        g_den = -(g * num).sum(axis=axes, keepdims=True) / (den * den)
+        g_lo = -g_num.sum(axis=axes, keepdims=True) - g_den
+        return g_num + at_hi * (g_den / n_hi) + at_lo * (g_lo / n_lo)
 
-    return num / den, grads
+    return num / den, grad
 
 
 def mix_uncertainty(u_up: Tensor | None, p: Tensor, logp: Tensor,
@@ -153,26 +145,20 @@ def mix_uncertainty(u_up: Tensor | None, p: Tensor, logp: Tensor,
     into U, and map U to pixel weights w = exp(-BETA * U); returns (U, w).
     With `u_up` None (no variance head) U is the normalized entropy alone;
     U records no graph, as no loss term differentiates it."""
-    u_ent, ent_grads = _minmax_normalize(-(p.data * logp.data).sum(axis=1, keepdims=True))
+    u_ent, ent_grad = _minmax_normalize(-(p.data * logp.data).sum(axis=1, keepdims=True))
     u = u_ent
     if u_up is not None:
-        u_ale, ale_grads = _minmax_normalize(u_up.data)
-        a, b = np.asarray(alpha, dtype=u_ale.dtype), np.asarray(1.0 - alpha, dtype=u_ent.dtype)
-        u = u_ale * a + u_ent * b
-    beta = np.asarray(-BETA, dtype=u.dtype)
-    w = np.exp(u * beta)
+        u_ale, ale_grad = _minmax_normalize(u_up.data)
+        u = u_ale * alpha + u_ent * (1.0 - alpha)
+    w = np.exp(u * -BETA)
 
     def bwd(g):
-        g_u = g * w * beta
+        g_u = g * w * -BETA
         if u_up is not None:
             if u_up.requires_grad:
-                for part in ale_grads(g_u.astype(u_ale.dtype, copy=False) * a):
-                    u_up._accumulate(part)
-            g_u = g_u.astype(u_ent.dtype, copy=False) * b
-        g_ent, *rest = ent_grads(g_u)
-        for part in rest:  # in place, so each sum rounds to the entropy's dtype
-            g_ent += part
-        g_ent = 0.0 - g_ent
+                u_up._accumulate(ale_grad(g_u * alpha))
+            g_u = g_u * (1.0 - alpha)
+        g_ent = -ent_grad(g_u)  # through the entropy -sum(p * logp)
         if p.requires_grad:
             p._accumulate(g_ent * logp.data)
         if logp.requires_grad:
@@ -195,18 +181,15 @@ def heteroscedastic_loss(logp: Tensor, labels: PseudoLabelSet,
         warnings.warn("heteroscedastic_loss: no valid pixels, returning 0")
         return Tensor(0.0)
     nll = -(oh * logp.data).sum(axis=1, keepdims=True)
-    two, half = np.asarray(2.0, dtype=s2.dtype), np.asarray(0.5, dtype=s2.dtype)
-    s2_twice = s2 * two
-    total = ((nll / s2_twice + np.log(s2) * half) * vm).sum()
+    s2_twice = s2 * 2.0
+    total = ((nll / s2_twice + np.log(s2) * 0.5) * vm).sum()
 
     def bwd(g):
-        g_px = 0.0 + g / n_valid * vm
+        g_px = g / n_valid * vm
         if logp.requires_grad:
-            logp._accumulate(np.subtract(0.0, g_px / s2_twice) * oh)
-        if sigma2_up.requires_grad:  # through 2 sigma^2, then the log, whose share erases -0.0
-            g_twice = (-g_px * nll / (s2_twice * s2_twice)).astype(s2.dtype, copy=False)
-            sigma2_up._accumulate(g_twice * two)
-            sigma2_up._accumulate(g_px.astype(s2.dtype, copy=False) * half / s2)
+            logp._accumulate(-g_px / s2_twice * oh)
+        if sigma2_up.requires_grad:  # d/ds of nll / 2s + log(s) / 2
+            sigma2_up._accumulate(g_px * (s2 - nll) / (s2_twice * s2))
 
     return Tensor._from_op(total / n_valid, (logp, sigma2_up), bwd)
 
@@ -235,11 +218,9 @@ def boundary_loss(e_log_up: Tensor, band: np.ndarray, supervised=None) -> Tensor
     den = (sup * (p + b)).sum() + DICE_SMOOTH
 
     def bwd(g):
-        # the chain rule through the terms' primitives, summed in their
-        # order: BCE through x*b and softplus, then Dice through the sigmoid
-        g_bce = g / n_sup * sup  # d loss / d (softplus(x) - x*b)
-        g_p = g * num / (den * den) * sup + -g / den * 2.0 * b * sup
-        e_log_up._accumulate(-g_bce * b + g_bce * p + g_p * p * (1.0 - p))
+        # BCE gives (p - b) / n_sup, Dice d(1 - num/den)/dp times p(1 - p)
+        g_dice = num / (den * den) - 2.0 / den * b
+        e_log_up._accumulate(g * sup * ((p - b) / n_sup + g_dice * p * (1.0 - p)))
 
     return Tensor._from_op(bce + (1.0 - num / den), (e_log_up,), bwd)
 
@@ -292,15 +273,12 @@ def sdf_loss(p: Tensor, phi: np.ndarray) -> Tensor:
     sums = [(np.abs(d).sum(axis=1, keepdims=True) * phi[lo]).sum() for _, lo, d in axes]
 
     def bwd(g):
-        # the composite's chain rule in its order of adds into p, after a 0.0
-        # that turns -0.0 into 0.0 there, as the composite's padded adds do
-        g = g / (n * h * w)
-        p._accumulate(0.0)
+        g_p = np.zeros_like(p.data)
         for hi, lo, d in axes:
-            gx = np.sign(d)
-            gx *= (g * phi[lo]).astype(p.data.dtype)
-            p.grad[hi] += gx
-            p.grad[lo] -= gx
+            g_d = np.sign(d) * (g / (n * h * w) * phi[lo])
+            g_p[hi] += g_d
+            g_p[lo] -= g_d
+        p._accumulate(g_p)
 
     return Tensor._from_op((sums[0] + sums[1]) / (n * h * w), (p,), bwd)
 
@@ -331,7 +309,7 @@ def total_loss(outputs, labels: PseudoLabelSet, use_sdf: bool) -> tuple[Tensor, 
     total = l_ce + l_dice
 
     l_het = Tensor(0.0)
-    if outputs.sigma2 is not None:
+    if outputs.u_ale is not None:
         z_up = bilinear_upsample(outputs.z, h, w, np.float64)
         l_het = heteroscedastic_loss(log_softmax(z_up, axis=1), labels, u_up)
         total = total + LAMBDA_HET * l_het

@@ -49,7 +49,10 @@ def _chebyshev_hit(points: np.ndarray, targets: np.ndarray, band_px: int) -> np.
 
 
 def boundary_f1(pred: np.ndarray, gt: np.ndarray, band_px: int = 2) -> float:
-    """F1 of class-agnostic boundary pixels under a Chebyshev tolerance band."""
+    """F1 of class-agnostic boundary pixels under a Chebyshev tolerance band
+    of `band_px` >= 1 (1 counts only exact hits)."""
+    if band_px < 1:
+        raise ValueError(f"band_px must be at least 1, got {band_px}")
     pb = boundary_seeds(np.asarray(pred))
     gb = boundary_seeds(np.asarray(gt))
     if not pb.any() and not gb.any():
@@ -71,8 +74,8 @@ def ece(confidences: np.ndarray, correct: np.ndarray, bins: int = 10) -> float:
         raise ValueError("confidence/correctness shape mismatch")
     if conf.size == 0:
         return 0.0
-    if conf.min() < 0 or conf.max() > 1:
-        raise ValueError("confidences must lie in [0,1]")
+    if not (conf.min() >= 0 and conf.max() <= 1):  # a NaN fails both
+        raise ValueError("confidences must be finite and lie in [0,1]")
     idx = np.minimum((conf * bins).astype(int), bins - 1)
     # a stable sort by bin (a radix sort, on small unsigned keys) makes each
     # bin one slice, its elements in their original order, so each mean

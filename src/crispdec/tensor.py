@@ -446,18 +446,10 @@ def conv2d(t: Tensor, kernel: Tensor, bias: Tensor | None = None,
             t._accumulate(gx.astype(t.data.dtype, copy=False).reshape(t.shape))
         elif t.requires_grad:
             gcols = np.matmul(kmat.T, gmat).reshape(n, cin, k, k, hout, wout)
-            # the first tap is written, not added to zeros: that can leave -0.0
-            # only where the sum gave +0.0, and _accumulate gives the same
-            # bytes for both, as 0 + g or added to a gradient it built, which
-            # holds no -0.0
             gxp = np.zeros_like(xp)
             for ki in range(k):
                 for kj in range(k):
-                    tap = gxp[:, :, ki:ki + s * hout:s, kj:kj + s * wout:s]
-                    if ki == kj == 0:
-                        tap[...] = gcols[:, :, 0, 0]
-                    else:
-                        tap += gcols[:, :, ki, kj]
+                    gxp[:, :, ki:ki + s * hout:s, kj:kj + s * wout:s] += gcols[:, :, ki, kj]
             t._accumulate(gxp[:, :, p:p + h, p:p + w] if p else gxp)
 
     return Tensor._from_op(out_data, parents, bwd)

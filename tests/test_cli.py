@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from crispdec.cli import EXIT_CHECK, EXIT_DATA, EXIT_OK, EXIT_USAGE, main
-from crispdec.fileio import IGNORE, read_ctsr, read_pgm, write_pgm
+from crispdec.fileio import IGNORE, read_ctsr, read_pgm, write_ctsr, write_pgm
 from crispdec.loop import RELABEL_COLUMNS
 
 
@@ -310,6 +310,20 @@ def test_eval_rejects_truncated_parameter_file(tmp_path, trained, capsys, size):
     assert "dec.bnd1.w.ctsr" in capsys.readouterr().err
 
 
+def test_eval_rejects_a_non_finite_parameter(tmp_path, trained, capsys):
+    data, run = trained
+    ckpt = tmp_path / "ckpt"
+    shutil.copytree(run / "checkpoint", ckpt)
+    param = ckpt / "dec.seg.w.ctsr"
+    w = read_ctsr(param)
+    w.flat[3] = np.nan
+    write_ctsr(param, w)
+    code = main(["eval", "--checkpoint", str(ckpt), "--data", str(data),
+                 "--out", str(tmp_path / "s.csv")])
+    assert code == EXIT_DATA
+    assert f"data error: {param}: non-finite" in capsys.readouterr().err
+
+
 def copy_checkpoint(run, dest, edit):
     """A copy of the run's checkpoint with `edit` applied to the text of
     its model_config.txt."""
@@ -367,6 +381,30 @@ def test_metrics_scores_mask_dirs(tmp_path):
     assert code == EXIT_OK
     lines = out.read_text().splitlines()
     assert lines[1].split(",")[1] == "1.000000"  # perfect miou on identical masks
+
+
+@pytest.mark.parametrize("band, code, bf1", [("2", EXIT_OK, "1.000000"),
+                                            ("1", EXIT_OK, "0.733333"),
+                                            ("0", EXIT_USAGE, None),
+                                            ("-5", EXIT_USAGE, None)])
+def test_metrics_band_below_one_is_a_usage_error(tmp_path, capsys, band, code, bf1):
+    """A square shifted by one pixel: every boundary pixel hits within
+    band 2, fewer at band 1, and a band below 1 scores nothing."""
+    gt_dir, pred_dir = tmp_path / "gt", tmp_path / "pred"
+    os.makedirs(gt_dir)
+    os.makedirs(pred_dir)
+    m = np.zeros((16, 16), dtype=np.uint8)
+    m[4:12, 4:12] = 1
+    write_pgm(gt_dir / "x.pgm", m)
+    write_pgm(pred_dir / "x.pgm", np.roll(m, 1, axis=1))
+    out = tmp_path / "m.csv"
+    assert main(["metrics", "--pred", str(pred_dir), "--gt", str(gt_dir), "--classes", "2",
+                 "--out", str(out), "--band", band]) == code
+    if bf1 is None:
+        assert capsys.readouterr().err.startswith("usage error: --band")
+        assert not out.exists()
+    else:
+        assert out.read_text().splitlines()[1].split(",")[2] == bf1
 
 
 def test_metrics_reports_error_rows(tmp_path, capsys):

@@ -12,10 +12,11 @@ from crispdec.decoder import (
     dmf_fuse,
     project_and_upsample,
     static_fuse,
+    variance_branch,
     weighted_sum,
 )
 from crispdec.model import ModelConfig
-from crispdec.tensor import Tensor
+from crispdec.tensor import Tensor, conv2d
 
 
 def make_pyramid(rng, n=1, channels=(8, 16, 24, 32), h4=8, w4=8):
@@ -115,12 +116,21 @@ def test_static_fuse_shape():
 
 
 def test_variance_strictly_positive():
+    """u_ale is the channel mean of the per-class variances softplus(raw) +
+    VAR_EPS, so it stays at or above VAR_EPS even where raw is very negative."""
     rng = np.random.default_rng(10)
     p = make_params(rng)
+    p["var.w"].data[:] = 50.0 * rng.standard_normal(p["var.w"].shape)
+    fused = Tensor(rng.standard_normal((1, 32, 8, 8)))
+    u_ale = variance_branch(fused, p)
+    raw = conv2d(fused, p["var.w"], p["var.b"]).data
+    assert raw.min() < -40.0
+    assert np.all(u_ale.data >= VAR_EPS)
+    np.testing.assert_allclose(u_ale.data,
+                               (np.logaddexp(0.0, raw) + VAR_EPS).mean(axis=1, keepdims=True),
+                               rtol=1e-12)
     out = decoder_forward(make_pyramid(rng), p)
-    assert np.all(out.sigma2.data >= VAR_EPS)
-    np.testing.assert_allclose(out.u_ale.data[:, 0],
-                               out.sigma2.data.mean(axis=1), atol=1e-12)
+    assert np.all(out.u_ale.data >= VAR_EPS)
 
 
 def test_refine_zero_init_leaves_logits_unchanged():
@@ -170,7 +180,6 @@ def test_forward_output_shapes():
     assert out.z.shape == (1, 4, 8, 8)
     assert out.zstar.shape == (1, 4, 8, 8)
     assert out.weights.shape == (1, 4, 8, 8)
-    assert out.sigma2.shape == (1, 4, 8, 8)
     assert out.u_ale.shape == (1, 1, 8, 8)
     assert out.edge_logits.shape == (1, 1, 8, 8)
 
@@ -179,7 +188,7 @@ def test_ablated_forward_outputs_none():
     rng = np.random.default_rng(15)
     p = make_params(rng, use_var=False, use_ugr=False, use_bnd=False)
     out = decoder_forward(make_pyramid(rng), p)
-    assert out.sigma2 is None and out.u_ale is None
+    assert out.u_ale is None
     assert out.gate is None and out.delta is None and out.edge_logits is None
     assert out.zstar is out.z
 

@@ -1,3 +1,4 @@
+import re
 import struct
 
 import numpy as np
@@ -129,6 +130,15 @@ def test_checkpoint_manifest_lists_all_params(tmp_path):
 def test_checkpoint_missing_manifest_rejected(tmp_path):
     with pytest.raises(FormatError):
         load_checkpoint(tmp_path)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_checkpoint_non_finite_parameter_rejected(tmp_path, bad):
+    d = tmp_path / "ckpt"
+    save_checkpoint(d, {"a": np.ones(3, dtype=np.float32),
+                        "b": np.array([0.5, bad, 2.0], dtype=np.float32)})
+    with pytest.raises(FormatError, match=re.escape(f"{d / 'b.ctsr'}: non-finite")):
+        load_checkpoint(d)
 
 
 def test_checkpoint_shape_mismatch_rejected(tmp_path):

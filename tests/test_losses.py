@@ -263,9 +263,8 @@ def test_sdf_loss_boundaryless_image_contributes_zero():
 
 
 class FakeOutputs:
-    def __init__(self, z, zstar, sigma2=None, u_ale=None, edge_logits=None):
-        self.z, self.zstar = z, zstar
-        self.sigma2, self.u_ale, self.edge_logits = sigma2, u_ale, edge_logits
+    def __init__(self, z, zstar, u_ale=None, edge_logits=None):
+        self.z, self.zstar, self.u_ale, self.edge_logits = z, zstar, u_ale, edge_logits
 
 
 def test_total_loss_breakdown_keys_and_consistency():
@@ -274,7 +273,7 @@ def test_total_loss_breakdown_keys_and_consistency():
     sig = Tensor(rng.random((1, 3, 4, 4)) + 0.5)
     u = sig.mean(axis=1, keepdims=True)
     e = Tensor(rng.standard_normal((1, 1, 4, 4)))
-    out = FakeOutputs(z, z, sigma2=sig, u_ale=u, edge_logits=e)
+    out = FakeOutputs(z, z, u_ale=u, edge_logits=e)
     y = rng.integers(0, 3, size=(8, 8))
     labels = all_valid(y)
     total, br = total_loss(out, labels, use_sdf=True)
@@ -307,7 +306,7 @@ def test_total_loss_computes_each_shared_map_once(monkeypatch):
     rng = np.random.default_rng(10)
     z = Tensor(rng.standard_normal((2, 3, 4, 4)))
     sig = Tensor(rng.random((2, 3, 4, 4)) + 0.5)
-    out = FakeOutputs(z, Tensor(rng.standard_normal((2, 3, 4, 4))), sigma2=sig,
+    out = FakeOutputs(z, Tensor(rng.standard_normal((2, 3, 4, 4))),
                       u_ale=sig.mean(axis=1, keepdims=True),
                       edge_logits=Tensor(rng.standard_normal((2, 1, 4, 4))))
     calls = []
@@ -325,6 +324,16 @@ def test_total_loss_computes_each_shared_map_once(monkeypatch):
         ids = [i for n, i in calls if n == name]
         assert ids and len(ids) == len(set(ids)), name
     assert calls.count(("bilinear_upsample", id(out.u_ale))) == 1
+
+
+def _assert_close(got, want):
+    """Same dtype, and within 1e-13 (float64) or 1e-5 (float32) of the
+    largest magnitude in `want`: a closed-form backward rounds otherwise
+    than the chain rule through a composite's primitives, by about one ulp
+    of the largest term."""
+    assert got.dtype == want.dtype
+    tol = 1e-5 if want.dtype == np.float32 else 1e-13
+    np.testing.assert_allclose(got, want, rtol=0, atol=tol * np.abs(want).max())
 
 
 # -- the fused boundary term against the composite it replaced -------------------------
@@ -347,8 +356,8 @@ def _boundary_loss_composite(x, band, supervised=None):
 
 @pytest.mark.parametrize("supervised", [False, True])
 def test_fused_boundary_loss_equals_its_composite(supervised):
-    """Same arithmetic forward, and the chain rule in the chain's order
-    backward: value and gradient are bit-equal."""
+    """Same arithmetic forward, so the value is bit-equal; the closed-form
+    gradient is the composite's to rounding."""
     rng = np.random.default_rng(30)
     band = (rng.random((3, 1, 8, 8)) < 0.3).astype(np.float64)
     sup = (rng.random((3, 1, 8, 8)) < 0.7).astype(np.uint8) if supervised else None
@@ -359,7 +368,7 @@ def test_fused_boundary_loss_equals_its_composite(supervised):
     composite = _boundary_loss_composite(x, band, sup)
     composite.backward()
     assert fused.data == composite.data
-    np.testing.assert_array_equal(g_fused, x.grad)
+    _assert_close(g_fused, x.grad)
 
 
 def test_fused_boundary_loss_keeps_float32():
@@ -378,7 +387,7 @@ def test_loss_targets_are_built_once_per_label_set():
                             seed_uncertainty=np.zeros((2, 8, 8)))
     z = Tensor(rng.standard_normal((2, 3, 8, 8)))
     sig = Tensor(rng.random((2, 3, 8, 8)) + 0.5)
-    out = FakeOutputs(z, z, sigma2=sig, u_ale=sig.mean(axis=1, keepdims=True))
+    out = FakeOutputs(z, z, u_ale=sig.mean(axis=1, keepdims=True))
     total_loss(out, labels, use_sdf=False)
     (oh, vm), = labels._targets.values()  # CE, Dice and het shared one build
     assert losses._targets(labels, 3)[0] is oh
@@ -431,9 +440,9 @@ def _sdf_loss_composite(p, phi):
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("grad_before", [False, True])
 def test_fused_sdf_loss_equals_its_composite(dtype, grad_before):
-    """Value and p.grad bit-equal, signed zeros included: ties in p give
-    zero differences, a negative upstream gradient gives -0.0 products,
-    and a gradient already in p may hold -0.0."""
+    """Value bit-equal and p.grad to rounding, with ties in p (zero
+    differences), a negative upstream gradient and, with `grad_before`, a
+    gradient already in p that the node's must add to."""
     rng = np.random.default_rng(40)
     yhat = np.kron(rng.integers(0, 3, size=(3, 3, 4)), np.ones((4, 4), dtype=int))[:, 1:]
     yhat[0, :, :3] = IGNORE
@@ -441,7 +450,7 @@ def test_fused_sdf_loss_equals_its_composite(dtype, grad_before):
     phi = surface_weights(yhat)
     x = np.where(rng.random((3, 2, 11, 16)) < 0.3, 0.5, rng.random((3, 2, 11, 16)))
     p = Tensor(x.astype(dtype), requires_grad=True)
-    seed = np.where(rng.random(p.shape) < 0.5, -0.0, rng.standard_normal(p.shape)).astype(dtype)
+    seed = rng.standard_normal(p.shape).astype(dtype)
     grads = []
     for loss_fn in (sdf_loss, _sdf_loss_composite):
         p.grad = seed.copy() if grad_before else None
@@ -450,8 +459,8 @@ def test_fused_sdf_loss_equals_its_composite(dtype, grad_before):
         grads.append((loss.data, p.grad))
     (fused, g_fused), (composite, g_composite) = grads
     assert fused.dtype == composite.dtype and fused == composite
-    assert g_fused.dtype == g_composite.dtype == dtype
-    assert g_fused.tobytes() == g_composite.tobytes()
+    assert g_fused.dtype == dtype
+    _assert_close(g_fused, g_composite)
 
 
 # -- label geometry, once per label set and mirrored with the image ---------------------
@@ -598,13 +607,12 @@ def _region_fixture(dtype, seed=50):
 
 
 def _assert_node_equals_composite(fused_fn, composite_fn, inputs, rng, grad_before):
-    """The fused node and its composite give the same value and the same
-    gradient in every input, bit for bit, after a backward of the value
-    times a map of signs and zeros, again with the signs flipped, and once
-    times zero; with `grad_before` every input already holds a gradient
-    with -0.0 in it."""
-    seeds = [np.where(rng.random(t.shape) < 0.5, -0.0, rng.standard_normal(t.shape))
-             .astype(t.data.dtype) for t in inputs]
+    """The fused node and its composite give the same value, bit for bit,
+    and the same gradient in every input to rounding (`_assert_close`),
+    after a backward of the value times a map of signs and zeros, again
+    with the signs flipped, and once times zero; with `grad_before` every
+    input already holds a gradient, which the node's must add to."""
+    seeds = [rng.standard_normal(t.shape).astype(t.data.dtype) for t in inputs]
     signs = None
     for flip in (1.0, -1.0, 0.0):
         results = []
@@ -617,9 +625,12 @@ def _assert_node_equals_composite(fused_fn, composite_fn, inputs, rng, grad_befo
                 r = rng.random(outs[-1].shape)
                 signs = np.where(r < 0.2, 0.0, np.where(r < 0.6, -0.37, 0.61))
             (outs[-1] * (flip * signs).astype(outs[-1].data.dtype)).sum().backward()
-            results.append([o.data for o in outs] + [t.grad for t in inputs])
-        for a, b in zip(*results):
+            results.append(([o.data for o in outs], [t.grad for t in inputs]))
+        (values, grads), (values_c, grads_c) = results
+        for a, b in zip(values, values_c):
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        for a, b in zip(grads, grads_c):
+            _assert_close(a, b)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -671,13 +682,17 @@ def test_fused_heteroscedastic_loss_equals_its_composite(dtype, grad_before):
 @pytest.mark.parametrize("level, dtype, use_sdf", [("A6", "float32", False),
                                                    ("A6", "float64", True),
                                                    ("U0", "float64", True),
-                                                   ("A4", "float32", True)])
+                                                   ("A4", "float32", True),
+                                                   ("U0", "float32", True),
+                                                   ("A6", "float32", True)])
 def test_step_gradients_equal_those_of_the_composite_terms(level, dtype, use_sdf, monkeypatch):
-    """Every breakdown value and parameter gradient of a step equals, bit
-    for bit, that of the step with the four region terms recorded as
-    chains of primitives: at init and with every parameter perturbed. This
-    pins the order in which the tape adds the terms' gradients into the
-    maps they share, and with it the order of masked_dice's parents."""
+    """Every breakdown value and parameter gradient of a step against those
+    of the step with the six loss terms recorded as chains of primitives,
+    at init and with every parameter perturbed. The terms take float64 maps
+    at full resolution, so a float32 model's gradients round away how
+    their backward rounds and are bit-equal. Float64 ones agree to the
+    rounding of the step's largest gradient: some (the biases ahead of the
+    channel norm, the variance head's at init) are cancellation noise."""
     from crispdec.benchmark import LEVELS
     from crispdec.model import ModelConfig, SegModel
     from crispdec.synthdata import CorruptionSpec, SceneSpec, make_dataset
@@ -692,7 +707,8 @@ def test_step_gradients_equal_those_of_the_composite_terms(level, dtype, use_sdf
     model = SegModel(ModelConfig(width=8, dtype=dtype, **LEVELS[level]))
     composites = {"masked_ce": _masked_ce_composite, "masked_dice": _masked_dice_composite,
                   "mix_uncertainty": _mix_uncertainty_composite,
-                  "heteroscedastic_loss": _heteroscedastic_composite}
+                  "heteroscedastic_loss": _heteroscedastic_composite,
+                  "boundary_loss": _boundary_loss_composite, "sdf_loss": _sdf_loss_composite}
     for _ in range(2):
         results = []
         for fused in (True, False):
@@ -703,7 +719,14 @@ def test_step_gradients_equal_those_of_the_composite_terms(level, dtype, use_sdf
                 model.zero_grad()
                 loss, breakdown = total_loss(model.forward(images), labels, use_sdf)
                 loss.backward()
-            results.append((breakdown, {k: p.grad.tobytes() for k, p in model.params.items()}))
-        assert results[0] == results[1]
+            results.append((breakdown, {k: p.grad for k, p in model.params.items()}))
+        (breakdown, grads), (breakdown_c, grads_c) = results
+        assert breakdown == breakdown_c
+        if dtype == "float32":
+            for k, g in grads.items():
+                assert g.tobytes() == grads_c[k].tobytes(), k
+        else:
+            _assert_close(*(np.concatenate([g.ravel() for g in gs.values()])
+                            for gs in (grads, grads_c)))
         for t in model.params.values():  # off the zero init of the heads
             t.data += (0.3 * rng.standard_normal(t.shape)).astype(t.data.dtype)

@@ -179,6 +179,18 @@ def test_ece_rejects_out_of_range():
         ece(np.array([1.5]), np.array([1.0]))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_ece_rejects_non_finite_confidences(bad):
+    with pytest.raises(ValueError, match="finite"):
+        ece(np.array([0.5, bad, 0.25]), np.array([1.0, 0.0, 1.0]))
+
+
+@pytest.mark.parametrize("band_px", [0, -5])
+def test_boundary_f1_rejects_a_band_below_one(band_px):
+    with pytest.raises(ValueError, match="band_px"):
+        boundary_f1(vertical_split(8), vertical_split(9), band_px=band_px)
+
+
 def _ece_masked(confidences, correct, bins):
     """ECE as a boolean-mask gather per bin: the oracle of `ece`."""
     conf = np.asarray(confidences, dtype=np.float64).ravel()

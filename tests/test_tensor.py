@@ -375,12 +375,11 @@ def test_conv2d_equals_the_slab_reference(n, stride, x_dtype, k_dtype, grad_befo
 
 @pytest.mark.parametrize("n", [1, 16])
 def test_conv2d_first_tap_holding_negative_zero(n):
-    """The input gradient writes its first tap instead of adding it to
-    zeros, which keeps a -0.0 the zero-filled sum turns into 0.0. Here
-    every weight of input channel 0 meets upstream entries so small that
-    each product underflows to -0.0, so all nine taps hold -0.0 over a
-    block and the written map keeps it; the gradient the input ends with
-    is still byte-equal, because it is accumulated as 0 + g."""
+    """Taps that hold -0.0: every weight of input channel 0 meets upstream
+    entries so small that each product underflows to -0.0, so all nine
+    taps hold -0.0 over a block. Summed into the zero-filled padded map
+    they give +0.0, as the reference's sum does, and the input gradient
+    is byte-equal, signbits included."""
     rng = np.random.default_rng(21)
     x, kern, bias, g = _conv2d_case(rng, n, 1, "float64", "float64")
     kern[:, 0] = -1e-30
