@@ -19,7 +19,7 @@ pyr = FeaturePyramid(
 params = DecoderParams(ModelConfig(use_udmf=False), rng)  # one fusion pass
 out = decoder_forward(pyr, params)
 
-print("aleatoric map range (channel-mean variance):", float(out.u_ale.data.min()),
+print("aleatoric variance range:", float(out.u_ale.data.min()),
       "..", float(out.u_ale.data.max()))
 print("gate at init (should sit near 0.1):", float(out.gate.data.mean()))
 print("max |Z* - Z| at init (correction tower starts at zero):",

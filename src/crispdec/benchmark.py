@@ -34,6 +34,8 @@ EVAL_SCENES = 100
 # per-level means live (relative to the root of a checkout)
 WATERFALL_LEVELS = ("A0", "A1", "A4", "A6", "U0")
 WATERFALL_SEEDS = (0, 1, 2)
+# the levels whose mean mIoU and boundary F1 criterion 7 asks to rise in order
+WATERFALL_CHAIN = ("A0", "A1", "A4", "A6")
 THRESHOLDS_PATH = os.path.join("tests", "fixtures", "benchmark_thresholds.json")
 PINNED_METRICS = ("miou", "boundary_f1", "ece")
 
@@ -201,11 +203,23 @@ def run_ablation(levels=("A0", "A1", "A4", "A6"), seeds=(0, 1, 2),
 
 
 def calibrate(path: str = THRESHOLDS_PATH) -> dict:
-    """Run the frozen waterfall and write its per-level means to `path`."""
+    """Run the frozen waterfall and write its per-level means to `path`.
+    After each run's scores and the total CPU it prints the mIoU and
+    boundary F1 margins of each adjacent pair of calibrated chain levels,
+    as the difference of the means and then per seed."""
     train_data, eval_data = make_benchmark_data()
     results = run_ablation(levels=WATERFALL_LEVELS, seeds=WATERFALL_SEEDS,
                            train_data=train_data, eval_data=eval_data,
                            verbose=True)
+    chain = [level for level in WATERFALL_CHAIN if level in WATERFALL_LEVELS]
+    for lo, hi in zip(chain, chain[1:]):
+        means, seeds = [], []
+        for m, name in (("miou", "miou"), ("boundary_f1", "bf1")):
+            means.append(f"{name}={results[hi][m] - results[lo][m]:+.4f}")
+            seeds.append(f"{name}=" + " ".join(
+                f"{b[m] - a[m]:+.4f}" for a, b in zip(results[lo]["runs"], results[hi]["runs"])))
+        print(f"{hi} - {lo}: {' '.join(means)}; seeds "
+              f"{' '.join(map(str, WATERFALL_SEEDS))}: {' '.join(seeds)}", flush=True)
     pins = {"levels": {level: {m: results[level][m] for m in PINNED_METRICS}
                        for level in WATERFALL_LEVELS}}
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)

@@ -3,8 +3,8 @@ refinement, and a boundary branch, all operating at 1/4 resolution.
 
 Per-pixel fusion weights come from a spatial softmax over four projected
 pyramid streams; an optional uncertainty map shifts the fusion scores
-before the softmax. A variance head predicts per-class aleatoric noise,
-which both feeds the losses and gates a residual logit correction.
+before the softmax. A variance head predicts one aleatoric variance per
+pixel, which both feeds the losses and gates a residual logit correction.
 """
 
 from __future__ import annotations
@@ -55,7 +55,7 @@ class DecoderOutputs:
     z: Tensor                  # pre-refine logits [N,K,H/4,W/4]
     zstar: Tensor              # refined logits (== z when refinement is off)
     weights: Tensor | None     # fusion weights [N,4,H/4,W/4]; None for static fusion
-    u_ale: Tensor | None       # channel-mean variance [N,1,H/4,W/4]
+    u_ale: Tensor | None       # aleatoric variance [N,1,H/4,W/4]
     gate: Tensor | None
     delta: Tensor | None
     edge_logits: Tensor | None
@@ -98,8 +98,8 @@ class DecoderParams:
         if cfg.use_var:
             # uniform initial variance: any later structure is learned, and
             # training never starts inside an init-dependent down-weighting
-            param("var.w", (k, e, 1, 1), init="zero")
-            param("var.b", (k,), init="zero")
+            param("var.w", (1, e, 1, 1), init="zero")
+            param("var.b", (1,), init="zero")
         if cfg.use_ugr:
             param("phi1.w", (e, e + k + 1, 3, 3))
             param("phi1.b", (e,), init="zero")
@@ -196,9 +196,8 @@ def static_fuse(e_list: list[Tensor], params: DecoderParams) -> Tensor:
 
 
 def variance_branch(fused: Tensor, params: DecoderParams) -> Tensor:
-    """The aleatoric map: the channel mean of the per-class variance."""
-    raw = conv2d(fused, params["var.w"], params["var.b"])
-    return (raw.softplus() + VAR_EPS).mean(axis=1, keepdims=True)
+    """The aleatoric map: one variance per pixel (Kendall & Gal 2017)."""
+    return conv2d(fused, params["var.w"], params["var.b"]).softplus() + VAR_EPS
 
 
 def ugr_refine(fused: Tensor, z: Tensor, u_ale: Tensor, params: DecoderParams,

@@ -70,8 +70,8 @@ class TrainConfig:
             raise ValueError("need batch_size >= 1 and epochs >= 0")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
-        if not self.lr_decoder > 0:
-            raise ValueError("need lr_decoder > 0")
+        if not 0 < self.lr_decoder < math.inf:
+            raise ValueError(f"need a finite lr_decoder > 0, got {self.lr_decoder}")
         if min(self.q_anneal_epochs, self.relabel_period, self.detach_p_epochs) < 0:
             raise ValueError("need q_anneal_epochs, relabel_period, detach_p_epochs >= 0")
         if not (0 < self.ema_tau < 1):

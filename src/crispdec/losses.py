@@ -170,8 +170,8 @@ def mix_uncertainty(u_up: Tensor | None, p: Tensor, logp: Tensor,
 def heteroscedastic_loss(logp: Tensor, labels: PseudoLabelSet,
                          sigma2_up: Tensor) -> Tensor:
     """Mean over valid pixels of CE/(2 sigma^2) + log(sigma^2)/2, from the
-    log-probabilities of the pre-refine logits and the per-pixel scalar
-    variance (channel mean, upsampled)."""
+    log-probabilities of the pre-refine logits and the variance head's
+    per-pixel variance, upsampled."""
     oh, vm = _targets(labels, logp.shape[1])
     s2 = sigma2_up.data
     if np.any(s2 <= 0):

@@ -39,8 +39,9 @@ class SceneSpec:
     noise_amplitude: float = 0.08
 
     def __post_init__(self):
-        if self.height % 32 or self.width % 32:
-            raise ValueError("canvas must be divisible by 32")
+        if min(self.height, self.width) < 32 or self.height % 32 or self.width % 32:
+            raise ValueError("canvas height and width must be positive multiples of 32, "
+                             f"got {self.height}x{self.width}")
         top = max(_SHAPE_CLASS.values()) + 1  # background + the classes shapes draw
         if not 2 <= self.num_classes <= top:
             raise ValueError(f"num_classes must lie in [2, {top}]")

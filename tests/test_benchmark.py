@@ -59,3 +59,34 @@ def test_calibrate_prints_each_runs_cpu_and_pins_only_the_means(monkeypatch, tmp
     # the fixture holds the pinned means and nothing else
     assert json.loads(path.read_text()) == pins
     assert list(pins["levels"]["A0"]) == list(benchmark.PINNED_METRICS)
+
+
+def test_calibrate_prints_the_margins_of_adjacent_chain_levels(monkeypatch, tmp_path, capsys):
+    # two levels, two seeds: after the total CPU, one line of A1 - A0 margins
+    train_data = make_dataset(4, SceneSpec(seed=3), CorruptionSpec())
+    eval_data = make_dataset(2, SceneSpec(seed=4), CorruptionSpec())
+    monkeypatch.setattr(benchmark, "WATERFALL_LEVELS", ("A1", "A0"))
+    monkeypatch.setattr(benchmark, "WATERFALL_SEEDS", (0, 1))
+    monkeypatch.setattr(benchmark, "make_benchmark_data", lambda: (train_data, eval_data))
+    pins = benchmark.calibrate(str(tmp_path / "pins.json"))["levels"]
+
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 6 and lines[4].startswith("total cpu=")
+    runs = {}
+    for line in lines[:4]:
+        head, _, tail = line.partition(": ")
+        level, seed = head.split(" seed=")
+        vals = dict(kv.split("=") for kv in tail.removesuffix(" s").split())
+        runs[level, int(seed)] = {m: float(vals[m]) for m in ("miou", "bf1")}
+    head, _, tail = lines[5].partition(": ")
+    assert head == "A1 - A0"
+    means, _, per_seed = tail.partition("; seeds 0 1: ")
+    assert means == (f"miou={pins['A1']['miou'] - pins['A0']['miou']:+.4f} "
+                     f"bf1={pins['A1']['boundary_f1'] - pins['A0']['boundary_f1']:+.4f}")
+    words = per_seed.replace("=", " ").split()
+    assert words[0::3] == ["miou", "bf1"]
+    for i, m in ((1, "miou"), (4, "bf1")):
+        got = [float(w) for w in words[i:i + 2]]
+        want = [runs["A1", s][m] - runs["A0", s][m] for s in (0, 1)]
+        # the run lines and the margins are each rounded to 4 decimals
+        np.testing.assert_allclose(got, want, rtol=0, atol=1.6e-4)

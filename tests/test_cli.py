@@ -1,4 +1,5 @@
 import os
+import re
 import shutil
 
 import numpy as np
@@ -7,6 +8,8 @@ import pytest
 from crispdec.cli import EXIT_CHECK, EXIT_DATA, EXIT_OK, EXIT_USAGE, main
 from crispdec.fileio import IGNORE, read_ctsr, read_pgm, write_ctsr, write_pgm
 from crispdec.loop import RELABEL_COLUMNS
+from crispdec.model import SegModel
+from crispdec.tensor import Tensor
 
 
 def run_gen(out, n=3, seed=0, extra=()):
@@ -42,12 +45,17 @@ def test_gen_refuses_nonempty_without_force(tmp_path, capsys):
 
 @pytest.mark.parametrize("extra", [("--n", "0"), ("--n", "-2"), ("--classes", "5"),
                                    ("--classes", "6"), ("--height", "60"),
-                                   ("--seed", "-1")],
-                         ids=["n0", "n-neg", "classes5", "classes6", "height", "seed-neg"])
+                                   ("--seed", "-1"), ("--height", "0"), ("--height", "-32"),
+                                   ("--width", "0")],
+                         ids=["n0", "n-neg", "classes5", "classes6", "height", "seed-neg",
+                              "height0", "height-neg", "width0"])
 def test_gen_rejects_bad_flags(tmp_path, capsys, extra):
     code = main(["gen", "--out", str(tmp_path / "d"), *extra])
     assert code == EXIT_USAGE
-    assert capsys.readouterr().err.startswith("usage error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ")
+    if extra[0] in ("--height", "--width"):
+        assert "canvas" in err
     assert not os.path.exists(tmp_path / "d")
 
 
@@ -130,9 +138,9 @@ def test_train_rejects_inconsistent_ablations(tmp_path, trained, capsys):
 
 @pytest.mark.parametrize("extra", [("--batch-size", "0"), ("--batch-size", "-8"),
                                    ("--epochs", "-1"), ("--lr", "0"), ("--lr", "-1"),
-                                   ("--seed", "-1")],
+                                   ("--seed", "-1"), ("--lr", "inf"), ("--lr", "nan")],
                          ids=["batch0", "batch-neg", "epochs-neg", "lr0", "lr-neg",
-                              "seed-neg"])
+                              "seed-neg", "lr-inf", "lr-nan"])
 def test_train_rejects_bad_schedule_flags(tmp_path, trained, capsys, extra):
     data, _ = trained
     out = tmp_path / "r"
@@ -322,6 +330,23 @@ def test_eval_rejects_a_non_finite_parameter(tmp_path, trained, capsys):
                  "--out", str(tmp_path / "s.csv")])
     assert code == EXIT_DATA
     assert f"data error: {param}: non-finite" in capsys.readouterr().err
+
+
+def test_eval_refuses_a_checkpoint_of_the_four_channel_variance_head(tmp_path, trained,
+                                                                     capsys):
+    # the variance head once predicted one map per class and averaged them;
+    # such checkpoints are refused, not converted
+    data, run = trained
+    model = SegModel.from_checkpoint(run / "checkpoint")
+    model.decoder.tensors["var.w"] = Tensor(np.zeros((4, 32, 1, 1), np.float32))
+    model.decoder.tensors["var.b"] = Tensor(np.zeros(4, np.float32))
+    model.save(tmp_path / "ckpt")
+    code = main(["eval", "--checkpoint", str(tmp_path / "ckpt"), "--data", str(data),
+                 "--out", str(tmp_path / "s.csv")])
+    assert code == EXIT_DATA
+    assert re.match(r"data error: dec\.var\.[wb]: shape mismatch$",
+                    capsys.readouterr().err.strip())
+    assert not os.path.exists(tmp_path / "s.csv")
 
 
 def copy_checkpoint(run, dest, edit):

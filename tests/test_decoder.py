@@ -116,19 +116,19 @@ def test_static_fuse_shape():
 
 
 def test_variance_strictly_positive():
-    """u_ale is the channel mean of the per-class variances softplus(raw) +
-    VAR_EPS, so it stays at or above VAR_EPS even where raw is very negative."""
+    """The head predicts one variance per pixel, softplus(raw) + VAR_EPS, so
+    u_ale stays at or above VAR_EPS even where raw is very negative."""
     rng = np.random.default_rng(10)
     p = make_params(rng)
+    assert p["var.w"].shape == (1, 32, 1, 1) and p["var.b"].shape == (1,)
     p["var.w"].data[:] = 50.0 * rng.standard_normal(p["var.w"].shape)
     fused = Tensor(rng.standard_normal((1, 32, 8, 8)))
     u_ale = variance_branch(fused, p)
     raw = conv2d(fused, p["var.w"], p["var.b"]).data
+    assert raw.shape == u_ale.shape == (1, 1, 8, 8)
     assert raw.min() < -40.0
     assert np.all(u_ale.data >= VAR_EPS)
-    np.testing.assert_allclose(u_ale.data,
-                               (np.logaddexp(0.0, raw) + VAR_EPS).mean(axis=1, keepdims=True),
-                               rtol=1e-12)
+    np.testing.assert_allclose(u_ale.data, np.logaddexp(0.0, raw) + VAR_EPS, rtol=1e-12)
     out = decoder_forward(make_pyramid(rng), p)
     assert np.all(out.u_ale.data >= VAR_EPS)
 

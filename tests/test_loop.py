@@ -56,6 +56,13 @@ def test_config_rejects_bad_tau_and_keep():
         TrainConfig(keep_fraction=0.0)
 
 
+@pytest.mark.parametrize("lr", [0.0, -1e-3, float("inf"), float("nan")])
+def test_config_rejects_a_learning_rate_that_is_not_finite_and_positive(lr):
+    # an infinite rate trained to a checkpoint of NaNs
+    with pytest.raises(ValueError, match="finite lr_decoder"):
+        TrainConfig(lr_decoder=lr)
+
+
 def test_config_accepts_zero_encoder_scale_decay_and_clip():
     # 0 epochs of annealing or detaching, and relabel_period 0 (never)
     TrainConfig(q_anneal_epochs=0, relabel_period=0, detach_p_epochs=0)

@@ -26,6 +26,13 @@ def test_scene_spec_rejects_bad_canvas():
         SceneSpec(height=60, width=64)
 
 
+@pytest.mark.parametrize("height, width", [(0, 64), (-32, 64), (64, 0), (64, -64)])
+def test_scene_spec_rejects_a_canvas_side_below_32(height, width):
+    # 0 and -32 are multiples of 32 too; generating them failed inside numpy
+    with pytest.raises(ValueError, match=f"positive multiples of 32, got {height}x{width}"):
+        SceneSpec(height=height, width=width)
+
+
 @pytest.mark.parametrize("k", [1, 5, 6])
 def test_scene_spec_rejects_classes_no_shape_draws(k):
     with pytest.raises(ValueError):

@@ -292,6 +292,29 @@ def test_conv2d_1x1_input_gradient_with_underflowing_products(x_dtype, k_dtype, 
     np.testing.assert_array_equal(x.grad, prior.astype(x_dtype) + scatter)
 
 
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+@pytest.mark.parametrize("zero_kernel", [False, True])
+def test_conv2d_one_output_channel_input_gradient_equals_the_matmul(dtype, zero_kernel):
+    """A 1x1 conv with one output channel (the DMF scores, the gate, the
+    variance head) forms its input gradient as a broadcast product, not a
+    GEMM: byte for byte np.matmul's, at a train-a6 score conv's shape, with
+    a kernel at its zero init or with signed weights, and with zeros in the
+    upstream gradient, so signed-zero products occur. The input's gradient
+    holds -0.0 beforehand, and -0.0 + v is v, so the bytes compared are the
+    product's own and not what `_accumulate`'s 0 + g makes of them."""
+    rng = np.random.default_rng(19)
+    x = Tensor(rng.standard_normal((16, 32, 16, 16)).astype(dtype), requires_grad=True)
+    kern = np.zeros((1, 32, 1, 1)) if zero_kernel else rng.standard_normal((1, 32, 1, 1))
+    kern = Tensor(kern.astype(dtype), requires_grad=True)
+    out = conv2d(x, kern, Tensor(np.zeros(1, dtype=dtype)))
+    g = np.where(rng.random(out.shape) < 0.2, 0.0, rng.standard_normal(out.shape))
+    g = g.astype(dtype)
+    x.grad = np.full(x.shape, -0.0, dtype=dtype)
+    out._backward(g)
+    want = np.matmul(kern.data.reshape(1, 32).T, g.reshape(16, 1, 256)).reshape(x.shape)
+    assert x.grad.tobytes() == want.tobytes()
+
+
 def _conv2d_reference(x, kern, bias, padding, stride, g, prior=None):
     """conv2d's output and the gradients it leaves in input, kernel and
     bias, as the k x k slab path forms them: the columns copied tap by tap
