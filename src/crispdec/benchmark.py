@@ -22,7 +22,7 @@ import numpy as np
 
 from .loop import TrainConfig, train
 from .losses import PseudoLabelSet
-from .metrics import mean_scores, score
+from .metrics import mean_scores, score_model
 from .model import ModelConfig, SegModel
 from .synthdata import CorruptionSpec, Sample, SceneSpec, make_dataset
 
@@ -87,22 +87,11 @@ def _copy_samples(samples: list) -> list:
     return out
 
 
-def evaluate_model(model: SegModel, eval_data: list, k: int,
-                   batch_size: int = 25) -> dict:
-    """Mean per-image scores (`metrics.score`) on ground truth."""
-    scores = []
-    for lo in range(0, len(eval_data), batch_size):
-        batch = eval_data[lo:lo + batch_size]
-        pred, conf = model.predict(np.stack([s.image for s in batch]))
-        scores += [score(pred[i], s.gt, k, conf[i]) for i, s in enumerate(batch)]
-    return mean_scores(scores)
-
-
 def run_level(level: str, seed: int, train_data: list, eval_data: list) -> dict:
-    model_cfg = ModelConfig(seed=seed, dtype="float32", **LEVELS[level])
-    model = SegModel(model_cfg)
+    """Train one level from its seed; its mean scores as `crispdec eval` scores."""
+    model = SegModel(ModelConfig(seed=seed, dtype="float32", **LEVELS[level]))
     train(benchmark_train_config(seed), _copy_samples(train_data), model)
-    scores = evaluate_model(model, eval_data, model_cfg.num_classes)
+    scores = mean_scores([s for s, _ in score_model(model, eval_data)])
     scores.update(level=level, seed=seed)
     return scores
 
@@ -127,12 +116,12 @@ def _init_worker(train_data: list, eval_data: list) -> None:
     _worker_data = (train_data, eval_data)
 
 
-def _run_task(task: tuple) -> tuple[dict, float]:
-    """The scores of one run and the CPU seconds its worker spent on it."""
+def _run_task(task: tuple) -> tuple[dict, float, float]:
+    """One run's scores and the CPU and wall seconds its worker spent on it."""
     level, seed = task
-    start = time.process_time()
+    cpu, wall = time.process_time(), time.perf_counter()
     scores = run_level(level, seed, *_worker_data)
-    return scores, time.process_time() - start
+    return scores, time.process_time() - cpu, time.perf_counter() - wall
 
 
 @contextlib.contextmanager
@@ -155,19 +144,17 @@ def _single_blas_thread():
                 os.environ[k] = v
 
 
-def run_ablation(levels=("A0", "A1", "A4", "A6"), seeds=(0, 1, 2),
-                 train_data=None, eval_data=None, verbose=False) -> dict:
+def run_ablation(levels, seeds, train_data: list, eval_data: list,
+                 verbose=False) -> dict:
     """Mean metrics per level over the given model/training seeds.
 
     Every (level, seed) run trains from its own seed, so the runs are
     spread over spawned worker processes, one per usable CPU (at most
     MAX_WORKERS); the scores are those that `run_level` gives in this
-    process. `verbose` prints each run's scores and CPU seconds as it
-    ends, then the total CPU. A script that calls this must guard its own
-    work with `if __name__ == "__main__":`, since spawned workers import it.
+    process. `verbose` prints each run's scores, CPU and wall seconds as
+    it ends, then the total CPU. A script that calls this must guard its
+    own work with `if __name__ == "__main__":`, since spawned workers import it.
     """
-    if train_data is None or eval_data is None:
-        train_data, eval_data = make_benchmark_data()
     # the levels with more components train slower; start those first
     tasks = sorted(((level, seed) for level in levels for seed in seeds),
                    key=lambda t: -sum(LEVELS[t[0]].values()))
@@ -180,13 +167,13 @@ def run_ablation(levels=("A0", "A1", "A4", "A6"), seeds=(0, 1, 2),
         pool = ctx.Pool(workers, initializer=_init_worker,
                         initargs=(train_data, eval_data))
     with pool:
-        for r, cpu_s in pool.imap_unordered(_run_task, tasks):
+        for r, cpu_s, wall_s in pool.imap_unordered(_run_task, tasks):
             scores[r["level"], r["seed"]] = r
             total_cpu += cpu_s
             if verbose:
                 print(f"{r['level']} seed={r['seed']}: miou={r['miou']:.4f} "
                       f"bf1={r['boundary_f1']:.4f} ece={r['ece']:.4f} "
-                      f"cpu={cpu_s:.1f} s", flush=True)
+                      f"cpu={cpu_s:.1f} s wall={wall_s:.1f} s", flush=True)
     if verbose:
         print(f"total cpu={total_cpu:.1f} s over {len(tasks)} runs", flush=True)
 
@@ -204,7 +191,7 @@ def run_ablation(levels=("A0", "A1", "A4", "A6"), seeds=(0, 1, 2),
 
 def calibrate(path: str = THRESHOLDS_PATH) -> dict:
     """Run the frozen waterfall and write its per-level means to `path`.
-    After each run's scores and the total CPU it prints the mIoU and
+    After each run's scores and times and the total CPU it prints the mIoU and
     boundary F1 margins of each adjacent pair of calibrated chain levels,
     as the difference of the means and then per seed."""
     train_data, eval_data = make_benchmark_data()

@@ -131,7 +131,7 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     from .fileio import IGNORE, write_ctsr
-    from .metrics import score, write_csv
+    from .metrics import score_model, write_csv
     from .model import SegModel
     from .synthdata import load_dataset
 
@@ -146,12 +146,11 @@ def cmd_eval(args) -> int:
         os.makedirs(args.dump_confidence, exist_ok=True)
 
     rows = []
-    for i, s in enumerate(data):
-        pred, conf = model.predict(s.image)
+    for i, (scores, conf) in enumerate(score_model(model, data)):
         name = f"{i:05d}"
-        rows.append((name, score(pred[0], s.gt, k, conf[0])))
+        rows.append((name, scores))
         if args.dump_confidence:
-            write_ctsr(os.path.join(args.dump_confidence, f"{name}.ctsr"), conf[0])
+            write_ctsr(os.path.join(args.dump_confidence, f"{name}.ctsr"), conf)
 
     agg = write_csv(args.out, rows)
     print(f"wrote {args.out} ({len(rows)} images, mean miou {agg['miou']:.4f})")
@@ -176,6 +175,8 @@ def cmd_gradcheck(args) -> int:
 def cmd_metrics(args) -> int:
     from .metrics import evaluate, write_csv
 
+    if args.classes < 1:
+        raise UsageError(f"--classes must be at least 1, got {args.classes}")
     if args.band < 1:
         raise UsageError(f"--band must be at least 1, got {args.band}")
     rows, errors = evaluate(args.pred, args.gt, args.classes,

@@ -15,10 +15,11 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .fileio import IGNORE, read_fields
-from .losses import ALPHA, PseudoLabelSet, mix_uncertainty, stack_geometry, total_loss
+from .losses import (ALPHA, PseudoLabelSet, full_resolution, mix_uncertainty, stack_geometry,
+                     total_loss)
 from .model import SegModel
-from .synthdata import build_ignore_mask
-from .tensor import Tensor, bilinear_upsample, log_softmax, no_grad, softmax
+from .synthdata import build_ignore_mask, keep_lowest
+from .tensor import Tensor, no_grad
 
 LOG_COLUMNS = ["step", "l_total", "l_ce", "l_dice", "l_het", "l_bnd", "l_sdf",
                "mean_w", "valid_fraction", "lr_factor", "q", "grad_norm", "clipped",
@@ -127,12 +128,7 @@ def relabel(labels: np.ndarray, order: np.ndarray, keep_fraction: float) -> np.n
         raise ValueError("keep_fraction must lie in (0,1)")
     if order.shape != labels.shape:
         raise ValueError("label/order shape mismatch")
-    n_keep = int(np.ceil(keep_fraction * labels.size))
-    flat = order.reshape(-1)
-    # every value below the n_keep-th smallest, then its ties by index
-    cut = np.partition(flat, n_keep - 1)[n_keep - 1]
-    keep = flat < cut
-    keep[np.flatnonzero(flat == cut)[:n_keep - np.count_nonzero(keep)]] = True
+    keep = keep_lowest(order.reshape(1, -1), int(np.ceil(keep_fraction * labels.size)))
     return np.where(keep.reshape(labels.shape), labels, IGNORE)
 
 
@@ -190,18 +186,14 @@ def protect_classes(p: np.ndarray, u: np.ndarray, labels: np.ndarray,
 def teacher_predict(model: SegModel, teacher: TeacherState,
                     images: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Refined-logit probabilities p [N,K,H,W] and mixed normalized
-    uncertainty u [N,H,W] of the teacher on images [N,3,H,W]; the forward
-    pass records no autodiff graph."""
+    uncertainty u [N,H,W] of the teacher on images [N,3,H,W], from the maps
+    the losses read; the forward pass records no autodiff graph."""
     student_state = model.state_dict()
     model.load_state_dict(teacher.params)
     try:
         with no_grad():
-            out = model.forward(images)
-            h, w = images.shape[2], images.shape[3]
-            zstar_up = bilinear_upsample(out.zstar, h, w, np.float64)
-            p = softmax(zstar_up, axis=1)
-            u_up = None if out.u_ale is None else bilinear_upsample(out.u_ale, h, w, np.float64)
-            u, _ = mix_uncertainty(u_up, p, log_softmax(zstar_up, axis=1), ALPHA)
+            p, logp, u_up = full_resolution(model.forward(images), *images.shape[2:])
+            u, _ = mix_uncertainty(u_up, p, logp, ALPHA)
     finally:
         model.load_state_dict(student_state)
     return p.data, u.data[:, 0]
@@ -213,7 +205,7 @@ def _label_accuracy(labels: np.ndarray, gt: np.ndarray) -> float:
 
 
 def relabel_all(model: SegModel, teacher: TeacherState, data: list,
-                keep_fraction: float, batch_size: int = TrainConfig.batch_size) -> dict:
+                keep_fraction: float, batch_size: int) -> dict:
     """Replace every sample's label set with the teacher's, guarded by
     `protect_classes`; the new sets carry the teacher's uncertainty. The
     teacher predicts `batch_size` images at a time (`train` passes its
@@ -243,15 +235,15 @@ def relabel_all(model: SegModel, teacher: TeacherState, data: list,
 
 class AdamW:
     """Decoupled weight-decay adaptive moments, implemented from the
-    published update rule."""
+    published update rule with its default moment rates and eps."""
+
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
 
     def __init__(self, params: dict[str, Tensor], lr: dict[str, float],
-                 weight_decay: float = 1e-4, beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8):
+                 weight_decay: float = 1e-4):
         self.params = params
         self.lr = lr
         self.wd = weight_decay
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.t = 0
         self.m = {k: np.zeros_like(p.data) for k, p in params.items()}
         self.v = {k: np.zeros_like(p.data) for k, p in params.items()}

@@ -283,24 +283,31 @@ def sdf_loss(p: Tensor, phi: np.ndarray) -> Tensor:
     return Tensor._from_op((sums[0] + sums[1]) / (n * h * w), (p,), bwd)
 
 
+def full_resolution(outputs, h: int, w: int) -> tuple[Tensor, Tensor, Tensor | None]:
+    """The float64 probabilities and log-probabilities of the refined
+    logits at h x w, and the aleatoric map upsampled alike (None without a
+    variance head): the maps the losses and the teacher's relabeling read."""
+    zstar_up = bilinear_upsample(outputs.zstar, h, w, np.float64)
+    p = softmax(zstar_up, axis=1)
+    logp = log_softmax(zstar_up, axis=1)
+    u_up = None if outputs.u_ale is None else bilinear_upsample(outputs.u_ale, h, w, np.float64)
+    return p, logp, u_up
+
+
 def total_loss(outputs, labels: PseudoLabelSet, use_sdf: bool) -> tuple[Tensor, dict]:
     """Combine region, heteroscedastic, boundary, and surface terms.
 
     The segmentation term supervises the refined logits; the heteroscedastic
     term supervises the pre-refine logits. Terms whose inputs are absent
     (ablated heads) are skipped and reported as 0 in the breakdown; the
-    surface term also needs the boundary head, and `use_sdf`. The
-    probabilities and log-probabilities of the refined logits and the
-    upsampled aleatoric map are computed once and shared by the terms.
+    surface term also needs the boundary head, and `use_sdf`. The maps of
+    `full_resolution` are computed once and shared by the terms.
     """
     n, h, w = labels.yhat.shape
-    zstar_up = bilinear_upsample(outputs.zstar, h, w, np.float64)
-    p = softmax(zstar_up, axis=1)
-    logp = log_softmax(zstar_up, axis=1)
+    p, logp, u_up = full_resolution(outputs, h, w)
 
     wmap, mean_w = None, 1.0
-    if outputs.u_ale is not None:
-        u_up = bilinear_upsample(outputs.u_ale, h, w, np.float64)
+    if u_up is not None:
         _, wmap = mix_uncertainty(u_up, p, logp, ALPHA)
         mean_w = float(wmap.data.mean())
 
@@ -309,7 +316,7 @@ def total_loss(outputs, labels: PseudoLabelSet, use_sdf: bool) -> tuple[Tensor, 
     total = l_ce + l_dice
 
     l_het = Tensor(0.0)
-    if outputs.u_ale is not None:
+    if u_up is not None:
         z_up = bilinear_upsample(outputs.z, h, w, np.float64)
         l_het = heteroscedastic_loss(log_softmax(z_up, axis=1), labels, u_up)
         total = total + LAMBDA_HET * l_het

@@ -214,17 +214,27 @@ SCORE_NAMES = ("miou", "boundary_f1", "ece", "tv_smooth", "compactness",
 
 
 def score(pred: np.ndarray, gt: np.ndarray, k: int, conf: np.ndarray | None = None,
-          band_px: int = 2, bins: int = 10) -> dict:
-    """One image's scores against ground truth, keyed by SCORE_NAMES.
-    ECE needs the max-softmax confidences `conf` and is None without them."""
+          band_px: int = 2) -> dict:
+    """One image's scores against ground truth, keyed by SCORE_NAMES. ECE
+    (10 bins) needs the max-softmax confidences `conf`, else it is None."""
     _, mean_iou = miou(pred, gt, k)
     bf1 = boundary_f1(pred, gt, band_px)
     e = None
     if conf is not None:
         keep = gt != IGNORE
-        e = ece(conf[keep], (pred == gt)[keep], bins)
+        e = ece(conf[keep], (pred == gt)[keep])
     tv, comp, edge = structural_scores(pred, k)
     return dict(zip(SCORE_NAMES, (mean_iou, bf1, e, tv, comp, edge)))
+
+
+def score_model(model, samples: list):
+    """Each sample's `score` against its ground truth, with the confidence
+    map [H,W] it was scored on: `crispdec eval`'s and the waterfall's loop,
+    which predicts one image per call."""
+    k = model.cfg.num_classes
+    for s in samples:
+        pred, conf = model.predict(s.image)
+        yield score(pred[0], s.gt, k, conf[0]), conf[0]
 
 
 def mean_scores(scores: list) -> dict:
@@ -255,8 +265,7 @@ def write_csv(path, rows: list) -> dict | None:
     return agg
 
 
-def evaluate(pred_dir, gt_dir, k: int, band_px: int = 2, bins: int = 10,
-             conf_dir=None) -> tuple[list, list]:
+def evaluate(pred_dir, gt_dir, k: int, band_px: int = 2, conf_dir=None) -> tuple[list, list]:
     """Score every PGM pair under two directories (ECE from the CTSR maps
     in `conf_dir`, when given).
 
@@ -275,7 +284,7 @@ def evaluate(pred_dir, gt_dir, k: int, band_px: int = 2, bins: int = 10,
             conf = None
             if conf_dir is not None:
                 conf = read_ctsr(os.path.join(conf_dir, name[:-4] + ".ctsr"))
-            rows.append((name, score(pred, gt, k, conf, band_px, bins)))
+            rows.append((name, score(pred, gt, k, conf, band_px)))
         except Exception as exc:  # noqa: BLE001 - error rows keep the run going
             errors.append((name, str(exc)))
     return rows, errors

@@ -141,27 +141,28 @@ def generate_scene(spec: SceneSpec, index: int) -> tuple[np.ndarray, np.ndarray]
     return image.astype(np.float32), gt
 
 
+def keep_lowest(order: np.ndarray, n_keep: int) -> np.ndarray:
+    """The n_keep lowest entries of each row of order [N,M], as a bool mask
+    shaped like it; ties go to the earlier index, and 0 keeps nothing."""
+    keep = np.zeros(order.shape, dtype=bool)
+    if n_keep:
+        # every value below the n_keep-th smallest, then its ties by index
+        cut = np.partition(order, n_keep - 1, axis=1)[:, n_keep - 1, None]
+        below, ties = order < cut, order == cut
+        need = n_keep - np.count_nonzero(below, axis=1)[:, None]
+        keep = below | (ties & (np.cumsum(ties, axis=1) <= need))
+    return keep
+
+
 def build_ignore_mask(seed_uncertainty: np.ndarray, q_percent: float) -> np.ndarray:
     """Mask the ceil(q% * HW) most uncertain pixels per image (M=0 there);
     ties resolve to the later row-major index, deterministically."""
     if not (0 <= q_percent < 100):
         raise ValueError("q must lie in [0, 100)")
     u = np.asarray(seed_uncertainty, dtype=np.float64)
-    squeeze = u.ndim == 2
-    if squeeze:
-        u = u[None]
-    n, h, w = u.shape
+    h, w = u.shape[-2:]
     k = int(np.ceil(q_percent / 100.0 * h * w))
-    m = np.ones((n, h * w), dtype=np.uint8)
-    if k:
-        # every value above the k-th largest, then its ties from the last index back
-        flat = u.reshape(n, -1)
-        cut = np.partition(flat, h * w - k, axis=1)[:, h * w - k, None]
-        ties, need = flat == cut, k - np.count_nonzero(flat > cut, axis=1)[:, None]
-        ties_after = np.cumsum(ties[:, ::-1], axis=1)[:, ::-1]  # ties at or after each index
-        m[(flat > cut) | (ties & (ties_after <= need))] = 0
-    m = m.reshape(n, h, w)
-    return m[0] if squeeze else m
+    return keep_lowest(u.reshape(-1, h * w), h * w - k).astype(np.uint8).reshape(u.shape)
 
 
 def corrupt_to_seed(gt: np.ndarray, cspec: CorruptionSpec,

@@ -1,12 +1,19 @@
 import json
+import re
 
 import numpy as np
-import pytest
 
 from crispdec import benchmark
-from crispdec.benchmark import LEVELS, evaluate_model, run_ablation, run_level
-from crispdec.model import ModelConfig, SegModel
+from crispdec.benchmark import run_ablation, run_level
 from crispdec.synthdata import CorruptionSpec, SceneSpec, make_dataset
+
+
+def _run_line(line: str) -> tuple[str, int, dict]:
+    """Level, seed and name=value pairs of a run line, "s" units dropped."""
+    head, _, tail = line.partition(": ")
+    level, seed = head.split(" seed=")
+    assert re.fullmatch(r"(\w+=\S+ )+cpu=\S+ s wall=\S+ s", tail)
+    return level, int(seed), {k: float(v) for k, v in re.findall(r"(\w+)=(\S+)", tail)}
 
 
 def test_run_ablation_reproduces_in_process_runs(monkeypatch):
@@ -26,15 +33,6 @@ def test_run_ablation_reproduces_in_process_runs(monkeypatch):
             assert results[level][metric] == float(np.mean([r[metric] for r in runs]))
 
 
-@pytest.mark.parametrize("level", ["A6", "U0"])
-def test_evaluate_model_scores_do_not_depend_on_the_batch_size(level):
-    # `crispdec eval` scores at batch 1, the waterfall at batch 25
-    model = SegModel(ModelConfig(seed=0, dtype="float32", **LEVELS[level]))
-    data = make_dataset(30, SceneSpec(seed=5), CorruptionSpec())
-    assert (evaluate_model(model, data, 4, batch_size=1)
-            == evaluate_model(model, data, 4, batch_size=25))
-
-
 def test_calibrate_prints_each_runs_cpu_and_pins_only_the_means(monkeypatch, tmp_path, capsys):
     # a tiny waterfall: one level, two seeds, four training scenes
     train_data = make_dataset(4, SceneSpec(seed=3), CorruptionSpec())
@@ -49,10 +47,9 @@ def test_calibrate_prints_each_runs_cpu_and_pins_only_the_means(monkeypatch, tmp
     assert len(lines) == 3
     cpu = {}
     for line in lines[:2]:
-        head, _, tail = line.partition(": ")
-        level, seed = head.split(" seed=")
-        assert level == "A0" and tail.endswith(" s")
-        cpu[int(seed)] = float(tail.rsplit("cpu=", 1)[1][:-2])
+        level, seed, vals = _run_line(line)
+        assert level == "A0" and vals["wall"] > 0
+        cpu[seed] = vals["cpu"]
     assert sorted(cpu) == [0, 1] and all(c > 0 for c in cpu.values())
     total = lines[2].removeprefix("total cpu=").removesuffix(" s over 2 runs")
     assert abs(float(total) - sum(cpu.values())) <= 0.15  # each value rounded
@@ -74,10 +71,8 @@ def test_calibrate_prints_the_margins_of_adjacent_chain_levels(monkeypatch, tmp_
     assert len(lines) == 6 and lines[4].startswith("total cpu=")
     runs = {}
     for line in lines[:4]:
-        head, _, tail = line.partition(": ")
-        level, seed = head.split(" seed=")
-        vals = dict(kv.split("=") for kv in tail.removesuffix(" s").split())
-        runs[level, int(seed)] = {m: float(vals[m]) for m in ("miou", "bf1")}
+        level, seed, vals = _run_line(line)
+        runs[level, seed] = vals
     head, _, tail = lines[5].partition(": ")
     assert head == "A1 - A0"
     means, _, per_seed = tail.partition("; seeds 0 1: ")

@@ -432,6 +432,26 @@ def test_metrics_band_below_one_is_a_usage_error(tmp_path, capsys, band, code, b
         assert out.read_text().splitlines()[1].split(",")[2] == bf1
 
 
+@pytest.mark.parametrize("classes, code", [("1", EXIT_OK), ("0", EXIT_USAGE),
+                                           ("-3", EXIT_USAGE)])
+def test_metrics_classes_below_one_is_a_usage_error(tmp_path, capsys, classes, code):
+    """All-background masks score at K = 1; a count below 1 scores nothing."""
+    gt_dir, pred_dir = tmp_path / "gt", tmp_path / "pred"
+    os.makedirs(gt_dir)
+    os.makedirs(pred_dir)
+    write_pgm(gt_dir / "x.pgm", np.zeros((8, 8), dtype=np.uint8))
+    write_pgm(pred_dir / "x.pgm", np.zeros((8, 8), dtype=np.uint8))
+    out = tmp_path / "m.csv"
+    assert main(["metrics", "--pred", str(pred_dir), "--gt", str(gt_dir),
+                 "--classes", classes, "--out", str(out)]) == code
+    if code == EXIT_USAGE:
+        err = capsys.readouterr().err
+        assert err == f"usage error: --classes must be at least 1, got {classes}\n"
+        assert not out.exists()
+    else:
+        assert out.read_text().splitlines()[1].split(",")[1] == "1.000000"
+
+
 def test_metrics_reports_error_rows(tmp_path, capsys):
     gt_dir, pred_dir = tmp_path / "gt", tmp_path / "pred"
     os.makedirs(gt_dir)

@@ -365,7 +365,7 @@ def test_relabel_all_stores_the_teacher_uncertainty():
     model = tiny_model()
     data = tiny_data(2)
     teacher = TeacherState({k: v.copy() for k, v in model.state_dict().items()})
-    relabel_all(model, teacher, data, 0.9)
+    relabel_all(model, teacher, data, 0.9, batch_size=8)
     _, u = teacher_predict(model, teacher, np.stack([s.image for s in data]))
     for s, u_i in zip(data, u):
         np.testing.assert_array_equal(s.seed.seed_uncertainty[0], u_i)

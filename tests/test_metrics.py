@@ -352,12 +352,12 @@ def test_score_matches_the_single_metrics():
     gt[:3] = IGNORE
     pred = rng.integers(0, 3, size=(16, 16))
     conf = rng.random((16, 16))
-    got = score(pred, gt, 3, conf, band_px=3, bins=5)
+    got = score(pred, gt, 3, conf, band_px=3)
     keep = gt != IGNORE
     assert got == {
         "miou": miou(pred, gt, 3)[1],
         "boundary_f1": boundary_f1(pred, gt, 3),
-        "ece": ece(conf[keep], (pred == gt)[keep], 5),
+        "ece": ece(conf[keep], (pred == gt)[keep], 10),
         **dict(zip(("tv_smooth", "compactness", "edge_regularity"),
                    structural_scores(pred, 3))),
     }

@@ -14,6 +14,7 @@ from crispdec.synthdata import (
     export_dataset,
     generate_scene,
     init_encoder_params,
+    keep_lowest,
     load_dataset,
     make_dataset,
     toy_encoder_forward,
@@ -171,6 +172,20 @@ def test_ignore_mask_selection_on_heavy_ties():
             if k:
                 expect[i, np.lexsort((idx, u[i].reshape(-1)))[-k:]] = 0
         np.testing.assert_array_equal(build_ignore_mask(u, q), expect.reshape(4, 8, 6))
+
+
+@pytest.mark.parametrize("decimals", [0, 1, 8])
+def test_keep_lowest_equals_its_lexsort_oracle_from_none_to_all(decimals):
+    """Each row keeps what a lexsort (ascending value, ties by index) puts
+    first, for every count from 0 (nothing kept) to the row length."""
+    rng = np.random.default_rng(decimals)
+    order = np.round(rng.random((3, 20)), decimals)
+    order[1] = 0.5  # a row of one value: the earliest indices win
+    for n_keep in range(21):
+        expect = np.zeros((3, 20), dtype=bool)
+        for i in range(3):
+            expect[i, np.lexsort((np.arange(20), order[i]))[:n_keep]] = True
+        np.testing.assert_array_equal(keep_lowest(order, n_keep), expect)
 
 
 def test_corrupt_zero_spec_is_identity():
